@@ -128,54 +128,6 @@ func TestGateSpeedups(t *testing.T) {
 	}
 }
 
-func goldenPartitionReport() *bench.PartitionReport {
-	return &bench.PartitionReport{
-		GOMAXPROCS: 1,
-		Partitions: 2,
-		Cells: []bench.PartitionCell{
-			{
-				Dataset: "Adults", Rows: 800, QISize: 9, K: 2, Algo: "Basic Incognito",
-				Partitions: 2, SingleMS: 60, PartitionedMS: 80, Speedup: 0.75,
-				Solutions: 116, MinHeight: 7,
-				NodesChecked: 1500, NodesMarked: 300, Candidates: 2000,
-				TableScans: 120, Rollups: 1380, Identical: true,
-			},
-		},
-	}
-}
-
-func TestComparePartition(t *testing.T) {
-	got := goldenPartitionReport()
-	got.Cells[0].SingleMS = 999
-	got.Cells[0].PartitionedMS = 0.1
-	got.Cells[0].Speedup = 42
-	if diffs := comparePartition(goldenPartitionReport(), got); len(diffs) != 0 {
-		t.Fatalf("timing-only changes flagged: %v", diffs)
-	}
-
-	got = goldenPartitionReport()
-	got.Cells[0].Identical = false
-	got.Cells[0].TableScans++
-	got.Cells[0].Partitions = 3
-	diffs := comparePartition(goldenPartitionReport(), got)
-	joined := strings.Join(diffs, "\n")
-	for _, want := range []string{"identical", "table_scans", "partitions"} {
-		if !strings.Contains(joined, want) {
-			t.Errorf("diffs missing %q:\n%s", want, joined)
-		}
-	}
-	if len(diffs) != 3 {
-		t.Fatalf("got %d diffs, want 3: %v", len(diffs), diffs)
-	}
-
-	got = goldenPartitionReport()
-	got.Cells = nil
-	if diffs := comparePartition(goldenPartitionReport(), got); len(diffs) != 1 ||
-		!strings.Contains(diffs[0], "cell count") {
-		t.Fatalf("cell count mismatch not flagged: %v", diffs)
-	}
-}
-
 func goldenKernelReport() *bench.KernelReport {
 	return &bench.KernelReport{
 		GOMAXPROCS:    1,
@@ -345,10 +297,6 @@ func TestLoaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	partitionJSON, err := json.Marshal(goldenPartitionReport())
-	if err != nil {
-		t.Fatal(err)
-	}
 	kernelJSON, err := json.Marshal(goldenKernelReport())
 	if err != nil {
 		t.Fatal(err)
@@ -360,9 +308,6 @@ func TestLoaders(t *testing.T) {
 
 	if r, err := loadParallel(write("p.json", string(parallelJSON))); err != nil || len(r.Cells) != 1 {
 		t.Fatalf("loadParallel: %v", err)
-	}
-	if r, err := loadPartition(write("pt.json", string(partitionJSON))); err != nil || len(r.Cells) != 1 {
-		t.Fatalf("loadPartition: %v", err)
 	}
 	if r, err := loadKernel(write("k.json", string(kernelJSON))); err != nil || len(r.Cells) != 1 {
 		t.Fatalf("loadKernel: %v", err)
@@ -376,12 +321,6 @@ func TestLoaders(t *testing.T) {
 	empty := write("empty.json", "{}")
 	if _, err := loadParallel(missing); err == nil {
 		t.Error("loadParallel accepted a missing file")
-	}
-	if _, err := loadPartition(garbage); err == nil {
-		t.Error("loadPartition accepted malformed JSON")
-	}
-	if _, err := loadPartition(empty); err == nil {
-		t.Error("loadPartition accepted a cell-less report")
 	}
 	if _, err := loadKernel(garbage); err == nil {
 		t.Error("loadKernel accepted malformed JSON")
@@ -410,7 +349,7 @@ func TestKindUsageListsEveryKind(t *testing.T) {
 			t.Errorf("kindList() = %q omits %q", list, k)
 		}
 	}
-	if want := "parallel, kernel, partition, or incremental"; list != want {
+	if want := "parallel, kernel, or incremental"; list != want {
 		t.Errorf("kindList() = %q, want %q", list, want)
 	}
 }
@@ -431,6 +370,10 @@ func TestCLIUnknownKindError(t *testing.T) {
 	}
 	if !strings.Contains(string(out), `unknown -kind "sideways"`) {
 		t.Errorf("error %q does not name the bad kind", out)
+	}
+	// The partition report kind went away with multi-process partitioning.
+	if out, err := exec.Command(bin, "-kind", "partition", "-golden", "g.json", "-got", "x.json").CombinedOutput(); !strings.Contains(string(out), `unknown -kind "partition"`) {
+		t.Errorf("-kind partition: err %v, out %q, want rejected as unknown", err, out)
 	}
 	for _, k := range validKinds {
 		if !strings.Contains(string(out), k) {

@@ -46,7 +46,7 @@ func runCLI(t *testing.T, args ...string) (string, string, int) {
 }
 
 // TestDatagenDeterministicBySeed pins the generator contract the bench
-// regression gates and the partition workers rely on: a fixed (dataset,
+// regression gates and the daemon benchmark rely on: a fixed (dataset,
 // rows, seed) triple yields byte-identical CSV on every invocation, and
 // changing the seed changes the data.
 func TestDatagenDeterministicBySeed(t *testing.T) {

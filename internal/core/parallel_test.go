@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"incognito/internal/dataset"
+	"incognito/internal/relation"
 	"incognito/internal/telemetry"
 )
 
@@ -297,6 +298,7 @@ func BenchmarkDispatchFloor(b *testing.B) {
 		in := NewInput(a.Table, cols, hs, 2, 0)
 		in.installAbort()
 		dims, levels := []int{0, 1, 2}, []int{1, 1, 1}
+		scanCols, recode, card := in.cols(dims), in.recodeTables(dims, levels), in.cardAt(dims, levels)
 		const tasks = 8
 		for _, mode := range []struct {
 			name    string
@@ -305,7 +307,7 @@ func BenchmarkDispatchFloor(b *testing.B) {
 			b.Run(fmt.Sprintf("rows=%d/%s", rows, mode.name), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					err := runIndexedSafe(&in, mode.workers, tasks, func(int) string { return "t" }, func(int) {
-						in.ScanFreqRange(dims, levels, 0, rows)
+						relation.GroupCountRange(in.Table, scanCols, recode, card, 0, rows)
 					})
 					if err != nil {
 						b.Fatal(err)

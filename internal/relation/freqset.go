@@ -629,8 +629,7 @@ func GroupCountWithCard(t *Table, cols []int, recode [][]int32, card []int) *Fre
 }
 
 // GroupCountRange is GroupCountWithCard restricted to the row range
-// [lo, hi) — one shard of a parallel scan, or one partition worker's
-// whole share of a multi-process scan. On the dense path the recode
+// [lo, hi) — one shard of a parallel scan. On the dense path the recode
 // lookup and the mixed-radix multiply fuse into one per-column table, so
 // counting a tuple is len(cols) array reads, one add each, and a single
 // increment — no hashing, no key packing.

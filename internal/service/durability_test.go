@@ -2,8 +2,11 @@ package service
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -139,39 +142,62 @@ func TestJournalCompactionStripsTerminalDatasets(t *testing.T) {
 }
 
 // An interrupted queued job comes back: revalidated, re-enqueued under its
-// original ID, run to completion with a fetchable result.
+// original ID, run to completion with a fetchable result byte-identical
+// to the library path. A record written before multi-process partitioning
+// was removed carries "partitions" in its policy; replay decodes records
+// leniently, so the field is ignored and the job runs in-process.
 func TestRecoveryRequeuesInterruptedJob(t *testing.T) {
-	dir := t.TempDir()
-	seedJournal(t, dir, acceptedRecord("job-000001"))
-	s := newTestService(t, Config{Workers: 1, JournalDir: dir})
-	s.WaitRecovered()
-	if got := s.RecoveredJobs(); got != 1 {
-		t.Fatalf("RecoveredJobs() = %d, want 1", got)
-	}
-	st := waitTerminal(t, s, "job-000001")
-	if st.State != StateDone {
-		t.Fatalf("recovered job finished %s (%s), want done", st.State, st.Error)
-	}
-	if !st.Recovered {
-		t.Error("status does not mark the job recovered")
-	}
-	if st.RequestID != "req-job-000001" {
-		t.Errorf("request ID %q did not survive the restart", st.RequestID)
-	}
-	j, _ := s.Job("job-000001")
-	j.mu.Lock()
-	hasResult := len(j.result) > 0
-	j.mu.Unlock()
-	if !hasResult {
-		t.Error("recovered job re-ran but has no result payload")
-	}
-	// Fresh submissions continue the ID sequence past the recovered job.
-	resp, serr := s.Submit(validRequest())
-	if serr != nil {
-		t.Fatal(serr)
-	}
-	if resp.ID == "job-000001" {
-		t.Error("fresh submission reused the recovered job's ID")
+	for _, tc := range []struct {
+		name   string
+		policy string // accepted record's policy JSON
+	}{
+		{"current record", `{"k":2}`},
+		{"partitioned record from an older daemon", `{"k":2,"partitions":2}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			body := fmt.Sprintf(`{"seq":1,"time":"2026-01-01T00:00:00Z","type":"accepted","job":"job-000001","csv":%q,"qi":%q,"policy":%s,"request_id":"req-job-000001"}`,
+				patientsCSV, patientsQI, tc.policy)
+			sum := sha256.Sum256([]byte(body))
+			line := hex.EncodeToString(sum[:8]) + " " + body + "\n"
+			if err := os.WriteFile(filepath.Join(dir, journalName), []byte(line), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s := newTestService(t, Config{Workers: 1, JournalDir: dir})
+			s.WaitRecovered()
+			if got := s.RecoveredJobs(); got != 1 {
+				t.Fatalf("RecoveredJobs() = %d, want 1", got)
+			}
+			st := waitTerminal(t, s, "job-000001")
+			if st.State != StateDone {
+				t.Fatalf("recovered job finished %s (%s), want done", st.State, st.Error)
+			}
+			if !st.Recovered {
+				t.Error("status does not mark the job recovered")
+			}
+			if st.RequestID != "req-job-000001" {
+				t.Errorf("request ID %q did not survive the restart", st.RequestID)
+			}
+			j, _ := s.Job("job-000001")
+			j.mu.Lock()
+			raw := j.result
+			j.mu.Unlock()
+			var payload ResultPayload
+			if err := json.Unmarshal(raw, &payload); err != nil {
+				t.Fatalf("recovered job re-ran but has no result payload: %v", err)
+			}
+			if want := libraryReleasedCSV(t); payload.ReleasedCSV != want {
+				t.Errorf("recovered release differs from the library path:\n%s\n--- want ---\n%s", payload.ReleasedCSV, want)
+			}
+			// Fresh submissions continue the ID sequence past the recovered job.
+			resp, serr := s.Submit(validRequest())
+			if serr != nil {
+				t.Fatal(serr)
+			}
+			if resp.ID == "job-000001" {
+				t.Error("fresh submission reused the recovered job's ID")
+			}
+		})
 	}
 }
 
@@ -320,28 +346,18 @@ func TestRecoveryResumesFromCheckpoint(t *testing.T) {
 	}
 }
 
-// Startup sweeps what crashed runs left behind and the journal does not
-// claim: stale checkpoints and everything under the spill dir.
+// Startup sweeps the checkpoints crashed runs left behind and the journal
+// does not claim.
 func TestRecoverySweepsOrphans(t *testing.T) {
-	jdir, cdir, sdir := t.TempDir(), t.TempDir(), t.TempDir()
+	jdir, cdir := t.TempDir(), t.TempDir()
 	stale := filepath.Join(cdir, "job-000009.ckpt")
 	if err := os.WriteFile(stale, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	spill := filepath.Join(sdir, "job-000009")
-	if err := os.MkdirAll(spill, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(spill, "data.csv"), []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s := newTestService(t, Config{Workers: 1, JournalDir: jdir, CheckpointDir: cdir, SpillDir: sdir})
+	s := newTestService(t, Config{Workers: 1, JournalDir: jdir, CheckpointDir: cdir})
 	s.WaitRecovered()
 	if _, err := os.Stat(stale); !os.IsNotExist(err) {
 		t.Errorf("stale checkpoint survived the sweep (stat err: %v)", err)
-	}
-	if _, err := os.Stat(spill); !os.IsNotExist(err) {
-		t.Errorf("stale spill dir survived the sweep (stat err: %v)", err)
 	}
 }
 

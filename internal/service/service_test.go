@@ -87,6 +87,15 @@ func TestSubmitRunsToCompletion(t *testing.T) {
 
 	// The daemon's released CSV must be byte-identical to the library path
 	// the CLI uses for the same inputs.
+	if want := libraryReleasedCSV(t); payload.ReleasedCSV != want {
+		t.Errorf("daemon CSV differs from library CSV:\n%s\n--- want ---\n%s", payload.ReleasedCSV, want)
+	}
+}
+
+// libraryReleasedCSV is the released CSV the library path — the one the
+// CLI uses — produces for validRequest's dataset, QI and policy.
+func libraryReleasedCSV(t *testing.T) string {
+	t.Helper()
 	table, err := incognito.ReadCSV(strings.NewReader(patientsCSV))
 	if err != nil {
 		t.Fatal(err)
@@ -104,9 +113,7 @@ func TestSubmitRunsToCompletion(t *testing.T) {
 	if err := view.WriteCSV(&want); err != nil {
 		t.Fatal(err)
 	}
-	if payload.ReleasedCSV != want.String() {
-		t.Errorf("daemon CSV differs from library CSV:\n%s\n--- want ---\n%s", payload.ReleasedCSV, want.String())
-	}
+	return want.String()
 }
 
 func mustQI(t *testing.T) []incognito.QI {
@@ -507,6 +514,12 @@ func TestHTTPEndToEnd(t *testing.T) {
 	}
 	if code, _ := post(`{"surprise":true}`); code != http.StatusBadRequest {
 		t.Fatalf("unknown field = %d, want 400", code)
+	}
+	// policy.partitions went away with multi-process partitioning; the
+	// strict decoder rejects it by name.
+	if code, m := post(`{"csv":"a,b\n1,2\n","qi":"a=suppress","policy":{"k":2,"partitions":2}}`); code != http.StatusBadRequest ||
+		!strings.Contains(fmt.Sprint(m["error"]), `unknown field "partitions"`) {
+		t.Fatalf("policy.partitions = %d %v, want 400 naming the field", code, m)
 	}
 
 	// DELETE on a finished job is 409; on an unknown job 404.
