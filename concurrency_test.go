@@ -1,6 +1,8 @@
 package incognito_test
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -116,6 +118,85 @@ func TestConcurrentParallelRuns(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// partitionTable builds a deterministic synthetic table big enough that
+// a base-table scan at Parallelism 3 splits into several row-range chunks
+// (the parallel scan keeps at least 2048 rows per chunk), with a QI whose
+// lattice has multiple families.
+func partitionTable(tb testing.TB, rows int) (*incognito.Table, []incognito.QI) {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(17))
+	data := make([][]string, rows)
+	for i := range data {
+		data[i] = []string{
+			fmt.Sprintf("%05d", 53000+rng.Intn(40)),
+			[]string{"Male", "Female"}[rng.Intn(2)],
+			fmt.Sprintf("%d", 1950+rng.Intn(30)),
+		}
+	}
+	tab, err := incognito.NewTable([]string{"Zipcode", "Sex", "Year"}, data)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	qi := []incognito.QI{
+		{Column: "Zipcode", Hierarchy: incognito.RoundDigits(3)},
+		{Column: "Sex", Hierarchy: incognito.Suppression()},
+		{Column: "Year", Hierarchy: incognito.RoundDigits(2)},
+	}
+	return tab, qi
+}
+
+// TestPartitionedRunBitIdentical pins the row-partitioned scan: for every
+// Incognito variant and both kernels, a run whose base-table scans are
+// split into row ranges counted by 1, 2 or 3 workers must produce exactly
+// the Solutions and Stats of the sequential run, and so must the
+// per-solution metrics that re-scan the table.
+func TestPartitionedRunBitIdentical(t *testing.T) {
+	tab, qi := partitionTable(t, 4*2048)
+	for _, algo := range []incognito.Algorithm{
+		incognito.BasicIncognito, incognito.SuperRootsIncognito, incognito.CubeIncognito,
+	} {
+		for _, sparse := range []bool{false, true} {
+			base := incognito.Config{K: 4, Algorithm: algo, SparseKernel: sparse, Parallelism: 1}
+			want, err := incognito.Anonymize(tab, qi, base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantBest, _ := want.Best(incognito.MinDiscernibility())
+			for _, parts := range []int{1, 2, 3} {
+				t.Run(fmt.Sprintf("%v/sparse=%v/partitions=%d", algo, sparse, parts), func(t *testing.T) {
+					cfg := base
+					cfg.Parallelism = parts
+					got, err := incognito.Anonymize(tab, qi, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var lv, wv [][]int
+					for _, s := range got.Solutions() {
+						lv = append(lv, s.Levels())
+					}
+					for _, s := range want.Solutions() {
+						wv = append(wv, s.Levels())
+					}
+					if !reflect.DeepEqual(lv, wv) {
+						t.Fatalf("partitioned solutions differ:\ngot  %v\nwant %v", lv, wv)
+					}
+					if got.Stats() != want.Stats() {
+						t.Fatalf("partitioned stats differ:\ngot  %+v\nwant %+v", got.Stats(), want.Stats())
+					}
+					best, ok := got.Best(incognito.MinDiscernibility())
+					if !ok {
+						t.Fatal("partitioned run lost its solutions")
+					}
+					if best.Discernibility() != wantBest.Discernibility() ||
+						best.Suppressed() != wantBest.Suppressed() {
+						t.Fatal("solution metrics diverged under partitioned scanning")
+					}
+				})
+			}
+		}
 	}
 }
 
