@@ -2,7 +2,6 @@ package incognito
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 
 	"incognito/internal/core"
@@ -58,40 +57,76 @@ type DeltaResult struct {
 // callers can produce the same bytes for a cold-run comparison. Deleting a
 // row the table does not contain (or contains fewer times than del asks)
 // is an error.
+//
+// Rows are matched on dictionary codes: each del row is encoded once
+// through the table's dictionaries (a value they do not hold means the row
+// is absent), and the kept rows are copied as codes rather than
+// re-encoded.
 func ApplyRowDelta(t *Table, add, del [][]string) (*Table, error) {
 	if t == nil {
 		return nil, fmt.Errorf("incognito: nil table")
 	}
-	cols := t.rel.Columns()
-	for _, r := range append(append([][]string{}, add...), del...) {
-		if len(r) != len(cols) {
-			return nil, fmt.Errorf("incognito: delta row has %d values, table has %d columns", len(r), len(cols))
+	rel := t.rel
+	cols := rel.NumCols()
+	for _, rows := range [][][]string{add, del} {
+		for _, r := range rows {
+			if len(r) != cols {
+				return nil, fmt.Errorf("incognito: delta row has %d values, table has %d columns", len(r), cols)
+			}
 		}
 	}
-	pending := make(map[string]int, len(del))
-	for _, r := range del {
-		pending[packRow(r)]++
-	}
-	out := relation.MustNewTable(cols...)
-	for i := 0; i < t.rel.NumRows(); i++ {
-		row := t.rel.Row(i)
-		if key := packRow(row); pending[key] > 0 {
-			pending[key]--
+	// slot[i] is del row i's entry in owed, the deletions still due per
+	// distinct code tuple, or -1 when some value is not in the table.
+	slots := make(map[string]int, len(del))
+	slot := make([]int, len(del))
+	var owed []int
+	codes := make([]int32, cols)
+	for i, r := range del {
+		slot[i] = -1
+		found := true
+		for c, v := range r {
+			if codes[c], found = rel.Dict(c).Code(v); !found {
+				break
+			}
+		}
+		if !found {
 			continue
 		}
-		if err := out.AppendRow(row); err != nil {
-			return nil, err
+		key := string(relation.AppendKey(nil, codes))
+		j, ok := slots[key]
+		if !ok {
+			j = len(owed)
+			slots[key] = j
+			owed = append(owed, 0)
+		}
+		owed[j]++
+		slot[i] = j
+	}
+	var drop []int
+	if len(owed) > 0 {
+		colCodes := make([][]int32, cols)
+		for c := range colCodes {
+			colCodes[c] = rel.Codes(c)
+		}
+		buf := make([]byte, 4*cols)
+		for row := 0; row < rel.NumRows(); row++ {
+			for c, cc := range colCodes {
+				codes[c] = cc[row]
+			}
+			if j, ok := slots[string(relation.AppendKey(buf[:0], codes))]; ok && owed[j] > 0 {
+				owed[j]--
+				drop = append(drop, row)
+			}
 		}
 	}
-	for _, r := range del {
-		if pending[packRow(r)] > 0 {
+	for i, r := range del {
+		if slot[i] < 0 || owed[slot[i]] > 0 {
 			return nil, fmt.Errorf("incognito: delta deletes row %v more times than the table contains it", r)
 		}
 	}
-	for _, r := range add {
-		if err := out.AppendRow(r); err != nil {
-			return nil, err
-		}
+	out, err := rel.Edit(drop, add)
+	if err != nil {
+		return nil, err
 	}
 	return &Table{rel: out}, nil
 }
@@ -139,7 +174,9 @@ func AnonymizeDelta(ctx context.Context, t *Table, qi []QI, cfg Config, state *R
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	sp := (&core.Input{Trace: cfg.Tracer, Span: cfg.ParentSpan}).StartSpan("apply_row_delta")
 	edited, err := ApplyRowDelta(t, add, del)
+	sp.End()
 	if err != nil {
 		return nil, err
 	}
@@ -261,21 +298,4 @@ func deltaRowsFor(edited *Table, qi []QI, rows [][]string) ([]core.DeltaRow, err
 		}
 	}
 	return out, nil
-}
-
-// packRow encodes a row as a single collision-free string key
-// (length-prefixed values), for multiset matching in ApplyRowDelta.
-func packRow(vals []string) string {
-	n := 0
-	for _, v := range vals {
-		n += 4 + len(v)
-	}
-	b := make([]byte, 0, n)
-	var pre [4]byte
-	for _, v := range vals {
-		binary.LittleEndian.PutUint32(pre[:], uint32(len(v)))
-		b = append(b, pre[:]...)
-		b = append(b, v...)
-	}
-	return string(b)
 }

@@ -147,6 +147,39 @@ func TestAnonymizeDeltaSavesWork(t *testing.T) {
 	}
 }
 
+// TestAnonymizeDeltaTraceSpans checks a traced delta run shows how its
+// time splits: the row edit and the state preparation each get one span
+// under the caller's run span, beside the search.
+func TestAnonymizeDeltaTraceSpans(t *testing.T) {
+	tab := censusTable(t, 200, 31)
+	cold, err := incognito.Anonymize(tab, patientsQI(), incognito.Config{K: 3, RetainState: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tracer := incognito.NewTracer()
+	run := tracer.Start("run")
+	_, err = incognito.AnonymizeDelta(context.Background(), tab, patientsQI(),
+		incognito.Config{K: 3, Tracer: tracer, ParentSpan: run}, cold.State(),
+		[][]string{tab.Row(0)}, [][]string{tab.Row(1)})
+	run.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := tracer.Export()
+	if len(doc.Spans) != 1 || doc.Spans[0].Name != "run" {
+		t.Fatalf("trace roots %v, want the one run span", doc.Spans)
+	}
+	count := map[string]int{}
+	for _, c := range doc.Spans[0].Children {
+		count[c.Name]++
+	}
+	for _, name := range []string{"apply_row_delta", "delta_prepare", "search"} {
+		if count[name] != 1 {
+			t.Errorf("run span has %d %q children, want 1 (children: %v)", count[name], name, count)
+		}
+	}
+}
+
 // TestRunStatePersistsAcrossProcessBoundary round-trips the state through
 // SaveRunState/LoadRunState and chains a second delta from the first
 // delta's follow-on state.

@@ -25,10 +25,12 @@ package core
 // materialized) shrinks, which DeltaCounters reports separately.
 
 import (
-	"encoding/binary"
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -48,37 +50,23 @@ const captureBandSlack = 64
 // then leans on the floor for the dropped groups).
 const captureBandCap = 1024
 
-// packStrings packs value strings into one length-prefixed map key (the
-// string analogue of relation's packKey; value strings may contain any
-// byte, so a separator would not be safe).
-func packStrings(vals []string) string {
-	var b strings.Builder
-	var n [4]byte
-	for _, v := range vals {
-		binary.LittleEndian.PutUint32(n[:], uint32(len(v)))
-		b.Write(n[:])
-		b.WriteString(v)
-	}
-	return b.String()
-}
-
-// nodeRecKey identifies a lattice node across runs and bindings.
-func nodeRecKey(dims, levels []int) string {
-	var b strings.Builder
+// appendNodeRecKey appends the key identifying a lattice node across runs
+// and bindings — "dims|levels", each list comma-separated — to buf.
+func appendNodeRecKey(buf []byte, dims, levels []int) []byte {
 	for i, d := range dims {
 		if i > 0 {
-			b.WriteByte(',')
+			buf = append(buf, ',')
 		}
-		fmt.Fprintf(&b, "%d", d)
+		buf = strconv.AppendInt(buf, int64(d), 10)
 	}
-	b.WriteByte('|')
+	buf = append(buf, '|')
 	for i, l := range levels {
 		if i > 0 {
-			b.WriteByte(',')
+			buf = append(buf, ',')
 		}
-		fmt.Fprintf(&b, "%d", l)
+		buf = strconv.AppendInt(buf, int64(l), 10)
 	}
-	return b.String()
+	return buf
 }
 
 // StateCapture collects NodeRecords as a run checks nodes, for persisting
@@ -124,10 +112,23 @@ func (c *StateCapture) Records() []resilience.NodeRecord {
 	return out
 }
 
+// sortRecords orders records by their node keys (compared as strings),
+// computing each key once.
 func sortRecords(recs []resilience.NodeRecord) {
-	sort.Slice(recs, func(i, j int) bool {
-		return nodeRecKey(recs[i].Dims, recs[i].Levels) < nodeRecKey(recs[j].Dims, recs[j].Levels)
-	})
+	type keyed struct {
+		key string
+		rec resilience.NodeRecord
+	}
+	ks := make([]keyed, len(recs))
+	var buf []byte
+	for i, r := range recs {
+		buf = appendNodeRecKey(buf[:0], r.Dims, r.Levels)
+		ks[i] = keyed{key: string(buf), rec: r}
+	}
+	slices.SortFunc(ks, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
+	for i := range ks {
+		recs[i] = ks[i].rec
+	}
 }
 
 // buildRecord summarizes a node's frequency set: the exact suppression
@@ -185,14 +186,13 @@ func buildRecord(in *Input, dims, levels []int, f *relation.FreqSet) resilience.
 		}
 		rec.Band = append(rec.Band, resilience.BandEntry{V: vals, N: c.n})
 	}
-	sortBand(rec.Band)
+	slices.SortFunc(rec.Band, cmpBand)
 	return rec
 }
 
 // cmpVals orders equal-length value tuples elementwise — the band's
-// canonical order, chosen so the screen can binary-search a node's band
-// without packing keys (the screen runs once per node per delta run, and
-// packing every band entry there dominated the delta run's wall clock).
+// canonical order. The screen merges a node's delta groups, which it sorts
+// into the same order by code, against the band (see updateRecord).
 func cmpVals(a, b []string) int {
 	for i := range a {
 		if c := strings.Compare(a[i], b[i]); c != 0 {
@@ -202,10 +202,67 @@ func cmpVals(a, b []string) int {
 	return 0
 }
 
-func sortBand(band []resilience.BandEntry) {
-	sort.Slice(band, func(i, j int) bool {
-		return cmpVals(band[i].V, band[j].V) < 0
+func cmpBand(a, b resilience.BandEntry) int { return cmpVals(a.V, b.V) }
+
+// cmpBaseValue orders two values of one attribute the way base groups are
+// stored: by the bytes of their length-prefixed encodings, each value
+// written as its length in four little-endian bytes and then its bytes. It
+// compares without encoding either value. Base groups compare value by
+// value in this order.
+func cmpBaseValue(a, b string) int {
+	if len(a) != len(b) {
+		for s := 0; s < 32; s += 8 {
+			if x, y := byte(len(a)>>s), byte(len(b)>>s); x != y {
+				return cmp.Compare(x, y)
+			}
+		}
+	}
+	return strings.Compare(a, b)
+}
+
+// baseOrder returns the indices of n base groups in stored order. Group
+// g's codes in dicts are codes[g*len(dicts):(g+1)*len(dicts)]. Each
+// dictionary is ranked in cmpBaseValue order once, so the sort itself
+// compares integers.
+func baseOrder(dicts []*relation.Dict, codes []int32, n int) []int32 {
+	ranks := make([][]int32, len(dicts))
+	for i, dict := range dicts {
+		vals := dict.Values()
+		byValue := make([]int32, len(vals))
+		for c := range byValue {
+			byValue[c] = int32(c)
+		}
+		slices.SortFunc(byValue, func(a, b int32) int { return cmpBaseValue(vals[a], vals[b]) })
+		rank := make([]int32, len(vals))
+		for r, c := range byValue {
+			rank[c] = int32(r)
+		}
+		ranks[i] = rank
+	}
+	w := len(dicts)
+	order := make([]int32, n)
+	for g := range order {
+		order[g] = int32(g)
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		ca, cb := codes[int(a)*w:], codes[int(b)*w:]
+		for i, rank := range ranks {
+			if c := cmp.Compare(rank[ca[i]], rank[cb[i]]); c != 0 {
+				return c
+			}
+		}
+		return 0
 	})
+	return order
+}
+
+// baseDicts returns the input's base-level dictionary per QI attribute.
+func baseDicts(in *Input) []*relation.Dict {
+	dicts := make([]*relation.Dict, len(in.QI))
+	for i, q := range in.QI {
+		dicts[i] = q.H.Dict(0)
+	}
+	return dicts
 }
 
 // CaptureBase renders the table's base-level frequency set over the full
@@ -213,20 +270,31 @@ func sortBand(band []resilience.BandEntry) {
 // a delta run patches instead of rescanning. It scans the table once,
 // outside the run's Stats accounting.
 func CaptureBase(in *Input) []resilience.BaseGroup {
-	dims := make([]int, len(in.QI))
+	w := len(in.QI)
+	dims := make([]int, w)
 	for i := range dims {
 		dims[i] = i
 	}
 	f := relation.GroupCount(in.Table, in.cols(dims), nil)
-	var out []resilience.BaseGroup
-	f.Each(func(codes []int32, count int64) {
-		vals := make([]string, len(dims))
-		for i, d := range dims {
-			vals[i] = in.QI[d].H.Value(0, codes[i])
-		}
-		out = append(out, resilience.BaseGroup{V: vals, N: count})
+	var codes []int32
+	var counts []int64
+	f.Each(func(c []int32, count int64) {
+		codes = append(codes, c...)
+		counts = append(counts, count)
 	})
-	sort.Slice(out, func(i, j int) bool { return packStrings(out[i].V) < packStrings(out[j].V) })
+	if len(counts) == 0 {
+		return nil
+	}
+	dicts := baseDicts(in)
+	vals := make([]string, len(codes))
+	out := make([]resilience.BaseGroup, len(counts))
+	for j, g := range baseOrder(dicts, codes, len(counts)) {
+		v := vals[j*w : (j+1)*w : (j+1)*w]
+		for i, dict := range dicts {
+			v[i] = dict.Value(codes[int(g)*w+i])
+		}
+		out[j] = resilience.BaseGroup{V: v, N: counts[g]}
+	}
 	return out
 }
 
@@ -284,11 +352,16 @@ func (d *DeltaRun) Counters() DeltaCounters {
 // BaseGroups returns the patched base-level frequency set as canonical
 // value-string groups — the Base of the state describing the edited table.
 func (d *DeltaRun) BaseGroups() []resilience.BaseGroup {
-	out := make([]resilience.BaseGroup, 0, len(d.st.f0))
-	for _, e := range d.st.f0 {
-		out = append(out, resilience.BaseGroup{V: e.vals, N: e.count})
+	st := d.st
+	w := len(st.dicts)
+	codes := make([]int32, 0, len(st.f0)*w)
+	for _, e := range st.f0 {
+		codes = append(codes, e.codes...)
 	}
-	sort.Slice(out, func(i, j int) bool { return packStrings(out[i].V) < packStrings(out[j].V) })
+	out := make([]resilience.BaseGroup, 0, len(st.f0))
+	for _, g := range baseOrder(st.dicts, codes, len(st.f0)) {
+		out = append(out, resilience.BaseGroup{V: st.f0[g].vals, N: st.f0[g].count})
+	}
 	return out
 }
 
@@ -300,14 +373,12 @@ func (d *DeltaRun) UntouchedRecords(in *Input) []resilience.NodeRecord {
 	st := d.st
 	var out []resilience.NodeRecord
 	st.mu.Lock()
-	touched := st.touched
-	st.mu.Unlock()
-	for key, rec := range st.records {
-		if touched[key] {
+	defer st.mu.Unlock()
+	for _, i := range st.records {
+		if st.touched[i] {
 			continue
 		}
-		node := &lattice.Node{Dims: rec.Dims, Levels: rec.Levels}
-		upd, _ := updateRecord(rec, st.groupDeltas(node), in.K, in.MaxSuppress)
+		upd, _ := st.updateRecord(st.recs[i], in.K, in.MaxSuppress)
 		out = append(out, upd)
 	}
 	sortRecords(out)
@@ -315,20 +386,36 @@ func (d *DeltaRun) UntouchedRecords(in *Input) []resilience.NodeRecord {
 }
 
 // f0Entry is one group of the patched base-level frequency set, carried in
-// both forms: value strings (binding-independent, for the output state)
-// and the edited table's dictionary codes (for building root sets).
+// both forms: value strings (shared with the prior state's Base where the
+// group existed, for the output state) and the edited table's dictionary
+// codes (for building root sets).
 type f0Entry struct {
 	vals  []string
 	codes []int32
 	count int64
 }
 
-// deltaState is the runtime of one delta run.
+// deltaState is the runtime of one delta run: the prior state and the
+// delta in code form. Value strings stay where the output state needs them
+// and where a node's delta groups meet its band; grouping delta rows and
+// patching base counts compare integers only.
 type deltaState struct {
-	records map[string]*resilience.NodeRecord
+	recs []*resilience.NodeRecord
+	// records maps a node key (appendNodeRecKey) to its index in recs.
+	records map[string]int
 	f0      []f0Entry
-	added   []DeltaRow
-	removed []DeltaRow
+	dicts   []*relation.Dict // the edited table's base dictionaries, per QI attribute
+
+	// rows holds the delta rows' generalized values as run-local codes:
+	// row r's value in attribute d at level l is rows[r*width+off[d]+l].
+	// The first nAdded rows are the added ones, the rest the removed ones.
+	// Each (d, l) numbers its distinct delta values in string order, so
+	// comparing codes compares values; vals[off[d]+l][code] is the value.
+	rows   []int32
+	width  int
+	off    []int
+	vals   [][]string
+	nAdded int
 	// addedOld[i] reports whether added row i's full-QI base-level group
 	// existed in the prior table. When it did, every node-level group the
 	// row lands in existed too (projection and generalization only merge
@@ -337,7 +424,7 @@ type deltaState struct {
 	addedOld []bool
 
 	mu      sync.Mutex
-	touched map[string]bool
+	touched []bool // per recs entry: screened or revalidated this run
 
 	rowsRescanned atomic.Int64
 	screened      atomic.Int64
@@ -345,8 +432,8 @@ type deltaState struct {
 }
 
 // prepare validates the state against the input and builds the runtime:
-// the record index and the patched base-level set encoded against the
-// edited table's dictionaries.
+// the record index, the patched base-level set rebound to the edited
+// table's dictionary codes, and the delta rows in code form.
 func (d *DeltaRun) prepare(in *Input) error {
 	st := d.State
 	if st == nil {
@@ -373,96 +460,219 @@ func (d *DeltaRun) prepare(in *Input) error {
 			if len(r.Gen) != len(in.QI) {
 				return fmt.Errorf("core: delta row generalizes %d attributes, the QI has %d", len(r.Gen), len(in.QI))
 			}
+			for i, q := range in.QI {
+				if len(r.Gen[i]) != q.H.Height()+1 {
+					return fmt.Errorf("core: delta row has %d levels of attribute %q, its hierarchy has %d",
+						len(r.Gen[i]), q.H.Attr(), q.H.Height()+1)
+				}
+			}
 		}
 	}
 	rt := &deltaState{
-		records: make(map[string]*resilience.NodeRecord, len(st.Records)),
-		added:   d.Added,
-		removed: d.Removed,
-		touched: make(map[string]bool),
+		recs:    make([]*resilience.NodeRecord, len(st.Records)),
+		records: make(map[string]int, len(st.Records)),
+		touched: make([]bool, len(st.Records)),
+		dicts:   baseDicts(in),
 	}
+	// Every record key goes into one string; the map keys are its slices.
+	var keys []byte
+	ends := make([]int, len(st.Records))
 	for i := range st.Records {
 		rec := &st.Records[i]
-		// Restore the canonical band order: the screen binary-searches it,
-		// and a state file may predate the current comparator.
-		sortBand(rec.Band)
-		rt.records[nodeRecKey(rec.Dims, rec.Levels)] = rec
-	}
-
-	// Patch the base-level set: state groups plus ±1 per delta row, pruned
-	// at zero, then encoded once against the edited table's dictionaries.
-	type acc struct {
-		vals  []string
-		count int64
-	}
-	groups := make(map[string]*acc, len(st.Base))
-	oldBase := make(map[string]bool, len(st.Base))
-	for _, g := range st.Base {
-		key := packStrings(g.V)
-		groups[key] = &acc{vals: g.V, count: g.N}
-		oldBase[key] = true
-	}
-	rt.addedOld = make([]bool, len(d.Added))
-	for i, r := range d.Added {
-		vals := make([]string, len(r.Gen))
-		for j := range r.Gen {
-			vals[j] = r.Gen[j][0]
+		if err := checkRecord(in, rec); err != nil {
+			return err
 		}
-		rt.addedOld[i] = oldBase[packStrings(vals)]
-	}
-	bump := func(row DeltaRow, by int64) {
-		vals := make([]string, len(row.Gen))
-		for i := range row.Gen {
-			vals[i] = row.Gen[i][0]
+		if !slices.IsSortedFunc(rec.Band, cmpBand) {
+			// The screen needs the canonical band order, and a state file
+			// may predate it. Sort a copy: the state may be shared.
+			cp := *rec
+			cp.Band = slices.Clone(rec.Band)
+			slices.SortFunc(cp.Band, cmpBand)
+			rec = &cp
 		}
-		key := packStrings(vals)
-		a := groups[key]
-		if a == nil {
-			a = &acc{vals: vals}
-			groups[key] = a
-		}
-		a.count += by
-		if a.count == 0 {
-			delete(groups, key)
-		}
+		rt.recs[i] = rec
+		keys = appendNodeRecKey(keys, rec.Dims, rec.Levels)
+		ends[i] = len(keys)
 	}
-	for _, r := range d.Added {
-		bump(r, 1)
+	all, start := string(keys), 0
+	for i, end := range ends {
+		rt.records[all[start:end]] = i
+		start = end
 	}
-	for _, r := range d.Removed {
-		bump(r, -1)
+	if err := rt.patchBase(st.Base, d.Added, d.Removed, in.Table.NumRows()); err != nil {
+		return err
 	}
-	var total int64
-	for _, a := range groups {
-		if a.count < 0 {
-			return fmt.Errorf("core: delta removes more %v rows than the saved state holds", a.vals)
-		}
-		codes := make([]int32, len(in.QI))
-		for i, q := range in.QI {
-			c, ok := q.H.Dict(0).Code(a.vals[i])
-			if !ok {
-				return fmt.Errorf("core: saved state group value %q is absent from the edited table", a.vals[i])
-			}
-			codes[i] = c
-		}
-		rt.f0 = append(rt.f0, f0Entry{vals: a.vals, codes: codes, count: a.count})
-		total += a.count
-	}
-	if total != int64(in.Table.NumRows()) {
-		return fmt.Errorf("core: patched base state covers %d rows, the edited table has %d — the state does not describe this table",
-			total, in.Table.NumRows())
-	}
-	sort.Slice(rt.f0, func(i, j int) bool { return packStrings(rt.f0[i].vals) < packStrings(rt.f0[j].vals) })
+	rt.internRows(in, d.Added, d.Removed)
 	rt.rowsRescanned.Store(int64(len(d.Added) + len(d.Removed)))
 	d.st = rt
 	return nil
 }
 
+// checkRecord rejects a saved record that does not name a node of this
+// run's lattice, or whose band tuples do not match the node's attributes,
+// before the screen indexes by it.
+func checkRecord(in *Input, rec *resilience.NodeRecord) error {
+	ok := len(rec.Dims) > 0 && len(rec.Levels) == len(rec.Dims)
+	for i := 0; ok && i < len(rec.Dims); i++ {
+		d := rec.Dims[i]
+		ok = d >= 0 && d < len(in.QI) && (i == 0 || d > rec.Dims[i-1]) &&
+			rec.Levels[i] >= 0 && rec.Levels[i] <= in.QI[d].H.Height()
+	}
+	for _, e := range rec.Band {
+		ok = ok && len(e.V) == len(rec.Dims)
+	}
+	if !ok {
+		return fmt.Errorf("core: saved state record %s does not fit this run's lattice", appendNodeRecKey(nil, rec.Dims, rec.Levels))
+	}
+	return nil
+}
+
+// patchBase rebinds the state's base groups to the edited table's
+// dictionary codes, one value→code lookup per value, and adds ±1 per delta
+// row. Counts are patched in a map keyed by packed codes. A value the
+// edited table does not hold gets a run-local code past the end of its
+// dictionary: it may occur in removed rows and emptied groups, but a
+// patched group that still has rows must not use it.
+func (st *deltaState) patchBase(base []resilience.BaseGroup, added, removed []DeltaRow, rows int) error {
+	w := len(st.dicts)
+	extra := make([]map[string]int32, w)
+	code := func(i int, v string) int32 {
+		if c, ok := st.dicts[i].Code(v); ok {
+			return c
+		}
+		c, ok := extra[i][v]
+		if !ok {
+			if extra[i] == nil {
+				extra[i] = make(map[string]int32)
+			}
+			c = int32(st.dicts[i].Len() + len(extra[i]))
+			extra[i][v] = c
+		}
+		return c
+	}
+	type acc struct {
+		vals  []string
+		codes []int32
+		count int64
+	}
+	groups := make([]acc, len(base), len(base)+len(added))
+	codes := make([]int32, len(base)*w)
+	keys := make([]byte, 0, 4*len(codes))
+	for g, bg := range base {
+		if len(bg.V) != w {
+			return fmt.Errorf("core: saved state base group has %d values, the QI has %d", len(bg.V), w)
+		}
+		c := codes[g*w : (g+1)*w : (g+1)*w]
+		for i, v := range bg.V {
+			c[i] = code(i, v)
+		}
+		groups[g] = acc{vals: bg.V, codes: c, count: bg.N}
+		keys = relation.AppendKey(keys, c)
+	}
+	// The map keys are slices of one string; only groups the delta creates
+	// allocate their own.
+	index := make(map[string]int, len(base))
+	all := string(keys)
+	for g := range base {
+		key := all[4*w*g : 4*w*(g+1)]
+		if j, dup := index[key]; dup {
+			groups[j].count = groups[g].count
+			continue
+		}
+		index[key] = g
+	}
+	st.addedOld = make([]bool, len(added))
+	buf := make([]byte, 0, 4*w)
+	rowCodes := make([]int32, w)
+	bump := func(row DeltaRow, by int64) (existed bool) {
+		for i := range row.Gen {
+			rowCodes[i] = code(i, row.Gen[i][0])
+		}
+		buf = relation.AppendKey(buf[:0], rowCodes)
+		j, ok := index[string(buf)]
+		if !ok {
+			vals := make([]string, w)
+			for i := range row.Gen {
+				vals[i] = row.Gen[i][0]
+			}
+			j = len(groups)
+			groups = append(groups, acc{vals: vals, codes: slices.Clone(rowCodes)})
+			index[string(buf)] = j
+		}
+		groups[j].count += by
+		return j < len(base)
+	}
+	for i, r := range added {
+		st.addedOld[i] = bump(r, 1)
+	}
+	for _, r := range removed {
+		bump(r, -1)
+	}
+	var total int64
+	st.f0 = make([]f0Entry, 0, len(groups))
+	for _, g := range groups {
+		if g.count < 0 {
+			return fmt.Errorf("core: delta removes more %v rows than the saved state holds", g.vals)
+		}
+		if g.count == 0 {
+			continue
+		}
+		for i, c := range g.codes {
+			if int(c) >= st.dicts[i].Len() {
+				return fmt.Errorf("core: saved state group value %q is absent from the edited table", g.vals[i])
+			}
+		}
+		st.f0 = append(st.f0, f0Entry{vals: g.vals, codes: g.codes, count: g.count})
+		total += g.count
+	}
+	if total != int64(rows) {
+		return fmt.Errorf("core: patched base state covers %d rows, the edited table has %d — the state does not describe this table",
+			total, rows)
+	}
+	return nil
+}
+
+// internRows puts the delta rows in code form (see deltaState.rows), with
+// one run-local interner per (attribute, level).
+func (st *deltaState) internRows(in *Input, added, removed []DeltaRow) {
+	st.off = make([]int, len(in.QI))
+	for d, q := range in.QI {
+		st.off[d] = st.width
+		st.width += q.H.Height() + 1
+	}
+	rows := append(append(make([]DeltaRow, 0, len(added)+len(removed)), added...), removed...)
+	st.nAdded = len(added)
+	st.rows = make([]int32, len(rows)*st.width)
+	st.vals = make([][]string, st.width)
+	for d, q := range in.QI {
+		for l := 0; l <= q.H.Height(); l++ {
+			col := st.off[d] + l
+			intern := make(map[string]int32)
+			var vals []string
+			for _, r := range rows {
+				v := r.Gen[d][l]
+				if _, ok := intern[v]; !ok {
+					intern[v] = 0
+					vals = append(vals, v)
+				}
+			}
+			sort.Strings(vals)
+			for c, v := range vals {
+				intern[v] = int32(c)
+			}
+			for i, r := range rows {
+				st.rows[i*st.width+col] = intern[r.Gen[d][l]]
+			}
+			st.vals[col] = vals
+		}
+	}
+}
+
 // gdelta is the net contribution of the delta rows to one group of a node.
 type gdelta struct {
-	vals []string // the group's generalized value tuple
-	add  int64
-	del  int64
+	row int // one of the group's delta rows; its codes name the group
+	add int64
+	del int64
 	// pre reports the group provably existed in the prior table: some
 	// added row landing in it had a pre-existing base-level group (see
 	// deltaState.addedOld). Deletions imply existence on their own.
@@ -470,36 +680,42 @@ type gdelta struct {
 }
 
 // groupDeltas folds the delta rows into per-group contributions at the
-// node's generalization, keyed by packed generalized value strings.
-func (st *deltaState) groupDeltas(node *lattice.Node) map[string]*gdelta {
-	out := make(map[string]*gdelta)
-	vals := make([]string, len(node.Dims))
-	at := func(row DeltaRow) string {
-		for i, d := range node.Dims {
-			vals[i] = row.Gen[d][node.Levels[i]]
-		}
-		return packStrings(vals)
+// node's generalization. The rows are sorted by their codes at the node —
+// integer comparisons only — so the groups come out in cmpVals order of
+// their value tuples.
+func (st *deltaState) groupDeltas(dims, levels []int) []gdelta {
+	cols := make([]int, len(dims))
+	for i, d := range dims {
+		cols[i] = st.off[d] + levels[i]
 	}
-	for i, r := range st.added {
-		key := at(r)
-		g := out[key]
-		if g == nil {
-			g = &gdelta{vals: append([]string(nil), vals...)}
-			out[key] = g
-		}
-		g.add++
-		if st.addedOld[i] {
-			g.pre = true
-		}
+	order := make([]int32, len(st.rows)/st.width)
+	for r := range order {
+		order[r] = int32(r)
 	}
-	for _, r := range st.removed {
-		key := at(r)
-		g := out[key]
-		if g == nil {
-			g = &gdelta{vals: append([]string(nil), vals...)}
-			out[key] = g
+	cmpRows := func(a, b int32) int {
+		ra, rb := st.rows[int(a)*st.width:], st.rows[int(b)*st.width:]
+		for _, c := range cols {
+			if x := cmp.Compare(ra[c], rb[c]); x != 0 {
+				return x
+			}
 		}
-		g.del++
+		return 0
+	}
+	slices.SortFunc(order, cmpRows)
+	var out []gdelta
+	for j, r := range order {
+		if j == 0 || cmpRows(order[j-1], r) != 0 {
+			out = append(out, gdelta{row: int(r)})
+		}
+		g := &out[len(out)-1]
+		if int(r) < st.nAdded {
+			g.add++
+			if st.addedOld[r] {
+				g.pre = true
+			}
+		} else {
+			g.del++
+		}
 	}
 	return out
 }
@@ -511,36 +727,46 @@ const (
 	verdictFail
 )
 
-// updateRecord applies per-group delta contributions to a node's record,
-// returning the record describing the edited table plus the k-anonymity
-// verdict when the updated tally bounds decide it. Band hits update
-// exactly; groups covered only by the floor widen the tally bounds by the
-// worst case a group near k can contribute. All updates are commutative,
-// so map iteration order cannot change the result.
-func updateRecord(rec *resilience.NodeRecord, deltas map[string]*gdelta, k, maxSuppress int64) (resilience.NodeRecord, int) {
+// updateRecord applies the delta's per-group contributions to a node's
+// record, returning the record describing the edited table plus the
+// k-anonymity verdict when the updated tally bounds decide it. Band hits
+// update exactly; groups covered only by the floor widen the tally bounds
+// by the worst case a group near k can contribute. All updates are
+// commutative, so the order groups are applied in cannot change the result.
+func (st *deltaState) updateRecord(rec *resilience.NodeRecord, k, maxSuppress int64) (resilience.NodeRecord, int) {
 	contrib := func(x int64) int64 {
 		if x > 0 && x < k {
 			return x
 		}
 		return 0
 	}
-	// The band is kept sorted by cmpVals, so each delta group resolves by
-	// binary search — no per-node key packing or map build.
+	// The groups arrive in cmpVals order and the band is sorted by cmpVals,
+	// so each group's band entry is found by searching only the band past
+	// the previous group's position.
 	newBand := make([]resilience.BandEntry, len(rec.Band))
 	copy(newBand, rec.Band)
-	inBand := func(vals []string) *resilience.BandEntry {
-		i := sort.Search(len(newBand), func(i int) bool { return cmpVals(newBand[i].V, vals) >= 0 })
-		if i < len(newBand) && cmpVals(newBand[i].V, vals) == 0 {
-			return &newBand[i]
+	vals := make([]string, len(rec.Dims))
+	next := 0
+	inBand := func(gd gdelta) *resilience.BandEntry {
+		for i, d := range rec.Dims {
+			col := st.off[d] + rec.Levels[i]
+			vals[i] = st.vals[col][st.rows[gd.row*st.width+col]]
+		}
+		rest := newBand[next:]
+		i := sort.Search(len(rest), func(i int) bool { return cmpVals(rest[i].V, vals) >= 0 })
+		next += i
+		if i < len(rest) && cmpVals(rest[i].V, vals) == 0 {
+			next++
+			return &rest[i]
 		}
 		return nil
 	}
 	lo, hi := int64(0), int64(0)
 	floor := rec.Floor
 	inconsistent := false
-	for _, gd := range deltas {
+	for _, gd := range st.groupDeltas(rec.Dims, rec.Levels) {
 		delta := gd.add - gd.del
-		if e := inBand(gd.vals); e != nil {
+		if e := inBand(gd); e != nil {
 			nn := e.N + delta
 			if nn < 0 {
 				inconsistent = true
@@ -614,10 +840,9 @@ func updateRecord(rec *resilience.NodeRecord, deltas map[string]*gdelta, k, maxS
 	}
 	for _, e := range newBand {
 		if e.N != 0 {
-			upd.Band = append(upd.Band, e)
+			upd.Band = append(upd.Band, e) // stays in cmpVals order
 		}
 	}
-	sortBand(upd.Band)
 	verdict := verdictUnknown
 	if !inconsistent {
 		switch {
@@ -643,29 +868,37 @@ func min64(a, b int64) int64 {
 // bounds straddle the threshold). On success the updated record is fed to
 // the input's capture, so the new state reflects the edited table.
 func (st *deltaState) screen(in *Input, node *lattice.Node) (pass, ok bool) {
-	key := nodeRecKey(node.Dims, node.Levels)
-	rec := st.records[key]
-	if rec == nil {
+	i, found := st.record(node)
+	if !found {
 		return false, false
 	}
-	upd, verdict := updateRecord(rec, st.groupDeltas(node), in.K, in.MaxSuppress)
+	upd, verdict := st.updateRecord(st.recs[i], in.K, in.MaxSuppress)
 	if verdict == verdictUnknown {
 		return false, false
 	}
 	st.mu.Lock()
-	st.touched[key] = true
+	st.touched[i] = true
 	st.mu.Unlock()
 	in.Capture.add(upd)
 	st.screened.Add(1)
 	return verdict == verdictPass, true
 }
 
+// record returns the index of node's record in the prior state.
+func (st *deltaState) record(node *lattice.Node) (int, bool) {
+	var buf [64]byte
+	i, ok := st.records[string(appendNodeRecKey(buf[:0], node.Dims, node.Levels))]
+	return i, ok
+}
+
 // noteRevalidated marks a node as freshly measured this run: its old
 // record (if any) is superseded by the capture's Observe, not reconciled.
 func (st *deltaState) noteRevalidated(node *lattice.Node) {
-	st.mu.Lock()
-	st.touched[nodeRecKey(node.Dims, node.Levels)] = true
-	st.mu.Unlock()
+	if i, ok := st.record(node); ok {
+		st.mu.Lock()
+		st.touched[i] = true
+		st.mu.Unlock()
+	}
 	st.revalidated.Add(1)
 }
 

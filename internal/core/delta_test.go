@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"incognito/internal/hierarchy"
@@ -464,5 +465,26 @@ func TestDeltaValidation(t *testing.T) {
 	in.Delta.State = &bad
 	if _, err := Run(in, Basic); err == nil {
 		t.Fatal("delta run against a state with a different k succeeded")
+	}
+	// Records that do not name a node of this lattice, or whose band
+	// tuples do not fit their node, are rejected before the screen indexes
+	// by them.
+	for name, breakIt := range map[string]func(*resilience.NodeRecord){
+		"dim out of range":   func(r *resilience.NodeRecord) { r.Dims[len(r.Dims)-1] = len(fx.names) },
+		"level out of range": func(r *resilience.NodeRecord) { r.Levels[0] = 99 },
+		"short band tuple":   func(r *resilience.NodeRecord) { r.Band = []resilience.BandEntry{{N: 1}} },
+	} {
+		in = fresh()
+		bad = *state
+		bad.Records = append([]resilience.NodeRecord(nil), state.Records...)
+		rec := bad.Records[0]
+		rec.Dims = append([]int(nil), rec.Dims...)
+		rec.Levels = append([]int(nil), rec.Levels...)
+		breakIt(&rec)
+		bad.Records[0] = rec
+		in.Delta.State = &bad
+		if _, err := Run(in, Basic); err == nil || !strings.Contains(err.Error(), "does not fit") {
+			t.Fatalf("%s: delta run gave %v", name, err)
+		}
 	}
 }

@@ -102,7 +102,10 @@ func Run(in Input, v Variant) (res *Result, err error) {
 		if in.Budget != nil {
 			return nil, fmt.Errorf("core: delta runs do not support memory budgets")
 		}
-		if err := in.Delta.prepare(&in); err != nil {
+		sp := in.StartSpan("delta_prepare")
+		err := in.Delta.prepare(&in)
+		sp.End()
+		if err != nil {
 			return nil, err
 		}
 	}

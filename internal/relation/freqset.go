@@ -206,6 +206,16 @@ func packKey(buf []byte, codes []int32) []byte {
 	return buf[:4*len(codes)]
 }
 
+// AppendKey appends a code vector to buf in the key encoding packKey
+// uses — four little-endian bytes per code — for callers outside the
+// package that match or count code tuples in maps.
+func AppendKey(buf []byte, codes []int32) []byte {
+	for _, c := range codes {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(c))
+	}
+	return buf
+}
+
 // unpackKey decodes a map key back into codes. It indexes the string
 // directly instead of converting sub-slices to []byte, so it never
 // allocates.

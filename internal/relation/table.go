@@ -172,10 +172,17 @@ func remapCode(remap []int32, src, dst *Dict, c int32) int32 {
 // self-contained: codes are copied directly and remapped per column, never
 // round-tripped through strings row by row.
 func (t *Table) Select(keep func(row int) bool) *Table {
+	return t.selectRows(keep, 0)
+}
+
+// selectRows is Select with each output column pre-sized to hold capacity
+// rows.
+func (t *Table) selectRows(keep func(row int) bool, capacity int) *Table {
 	out := MustNewTable(t.names...)
 	remaps := make([][]int32, len(t.names))
 	for c := range t.names {
 		remaps[c] = newRemap(t.dicts[c].Len())
+		out.cols[c] = make([]int32, 0, capacity)
 	}
 	for r := 0; r < t.rows; r++ {
 		if !keep(r) {
@@ -187,6 +194,39 @@ func (t *Table) Select(keep func(row int) bool) *Table {
 		out.rows++
 	}
 	return out
+}
+
+// Edit returns a new table holding t's rows minus the rows listed in drop
+// (strictly ascending row indices), in order, followed by the add records.
+// The kept rows are copied as codes, as Select copies them, so every
+// dictionary lists the kept rows' values in order of first appearance and
+// then the added rows' new values: the same table appending each kept row
+// and then each added record through AppendRow would build.
+func (t *Table) Edit(drop []int, add [][]string) (*Table, error) {
+	for i, r := range drop {
+		if r < 0 || r >= t.rows || (i > 0 && r <= drop[i-1]) {
+			return nil, fmt.Errorf("relation: drop list is not ascending row indices in [0,%d)", t.rows)
+		}
+	}
+	for i, rec := range add {
+		if len(rec) != len(t.names) {
+			return nil, fmt.Errorf("relation: added record %d has %d values, table has %d columns", i, len(rec), len(t.names))
+		}
+	}
+	next := 0
+	out := t.selectRows(func(r int) bool {
+		if next < len(drop) && drop[next] == r {
+			next++
+			return false
+		}
+		return true
+	}, t.rows-len(drop)+len(add))
+	for _, rec := range add {
+		if err := out.AppendRow(rec); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // Project returns a new table with only the named columns, in the given

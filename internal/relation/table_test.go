@@ -162,3 +162,57 @@ func TestRowsMaterialization(t *testing.T) {
 		t.Fatalf("Rows()[1] = %v", rows[1])
 	}
 }
+
+// TestEditMatchesReencoding checks Edit builds the table re-encoding the
+// kept rows and then the added records through AppendRow would build —
+// rows and dictionary code order alike — including when the only
+// occurrence of a value is dropped.
+func TestEditMatchesReencoding(t *testing.T) {
+	src := patients()
+	drop := []int{0, 2, src.NumRows() - 1}
+	add := [][]string{{"9/9/99", "Male", "53715", "Flu"}, src.Row(2)}
+	got, err := src.Edit(drop, add)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := MustNewTable(src.Columns()...)
+	for r, next := 0, 0; r < src.NumRows(); r++ {
+		if next < len(drop) && drop[next] == r {
+			next++
+			continue
+		}
+		if err := want.AppendRow(src.Row(r)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, rec := range add {
+		if err := want.AppendRow(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if g, w := got.Rows(), want.Rows(); len(g) != len(w) {
+		t.Fatalf("edit has %d rows, want %d", len(g), len(w))
+	}
+	for r := 0; r < want.NumRows(); r++ {
+		if strings.Join(got.Row(r), "|") != strings.Join(want.Row(r), "|") {
+			t.Fatalf("row %d is %q, want %q", r, got.Row(r), want.Row(r))
+		}
+	}
+	for c := range want.Columns() {
+		if g, w := strings.Join(got.Dict(c).Values(), "|"), strings.Join(want.Dict(c).Values(), "|"); g != w {
+			t.Fatalf("column %d dictionary %q, want %q", c, g, w)
+		}
+	}
+}
+
+func TestEditRejectsBadInput(t *testing.T) {
+	src := patients()
+	for _, drop := range [][]int{{-1}, {src.NumRows()}, {2, 1}, {1, 1}} {
+		if _, err := src.Edit(drop, nil); err == nil {
+			t.Errorf("drop list %v accepted", drop)
+		}
+	}
+	if _, err := src.Edit(nil, [][]string{{"too", "short"}}); err == nil {
+		t.Error("short added record accepted")
+	}
+}
