@@ -151,11 +151,13 @@ func run(args []string) int {
 	srv := &http.Server{Handler: svc.Handler()}
 	fmt.Fprintf(os.Stderr, "incognitod: listening on http://%s\n", ln.Addr())
 
+	// Catch signals before serving: a client that has seen a response may
+	// send SIGTERM at once, and it must drain, not kill, the daemon.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
 	select {
 	case got := <-sig:
 		fmt.Fprintf(os.Stderr, "incognitod: %s received, draining\n", got)

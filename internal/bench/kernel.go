@@ -240,8 +240,12 @@ func timeOp(iters int, fn func()) float64 {
 
 // allocsPerRun is testing.AllocsPerRun without importing the testing
 // package into a non-test binary: the mean number of heap allocations per
-// invocation of fn.
+// invocation of fn. Like testing.AllocsPerRun it pins GOMAXPROCS to 1 for
+// the measurement and restores it afterwards: the malloc counter is
+// process-wide, and with a single P no other goroutine can allocate
+// between the two readings unless it preempts fn.
 func allocsPerRun(runs int, fn func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	fn() // warm up (first-call lazy work must not count)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -17,16 +17,16 @@ import (
 // counters; cells record the difference between two readings so each
 // parallel run's numbers are its own.
 type schedCounters struct {
-	steals, tasks    int64
+	tasks            int64
 	busy, span, wall time.Duration
 }
 
 func schedSnapshot(m *sched.Metrics) schedCounters {
-	return schedCounters{m.Steals(), m.Tasks(), m.Busy(), m.WorkerSpan(), m.ParallelWall()}
+	return schedCounters{m.Tasks(), m.Busy(), m.WorkerSpan(), m.ParallelWall()}
 }
 
 func (c schedCounters) sub(o schedCounters) schedCounters {
-	return schedCounters{c.steals - o.steals, c.tasks - o.tasks,
+	return schedCounters{c.tasks - o.tasks,
 		c.busy - o.busy, c.span - o.span, c.wall - o.wall}
 }
 
@@ -54,7 +54,6 @@ type ParallelCell struct {
 	Workers         int     `json:"workers"`
 	ParallelPhaseMS float64 `json:"parallel_phase_ms"`
 	SerialPhaseMS   float64 `json:"serial_phase_ms"`
-	Steals          int64   `json:"steals"`
 	SchedTasks      int64   `json:"sched_tasks"`
 	Utilization     float64 `json:"utilization"`
 	Solutions       int     `json:"solutions"`
@@ -88,7 +87,7 @@ type ParallelReport struct {
 // instruments every cell.
 func Parallel(ctx context.Context, obs Obs, d *dataset.Dataset, qiSize int, k int64, algos []Algo, parallelism int, progress Progress) ([]ParallelCell, error) {
 	if obs.Metrics == nil {
-		// The cells record the scheduler's steal/task/phase-time counters
+		// The cells record the scheduler's task and phase-time counters
 		// even when the caller asked for no exported telemetry; a throwaway
 		// registry provides the handles.
 		obs.Metrics = telemetry.NewRegistry().NewRunMetrics()
@@ -131,7 +130,6 @@ func Parallel(ctx context.Context, obs Obs, d *dataset.Dataset, qiSize int, k in
 		if rest := par.Elapsed - sched.wall; rest > 0 {
 			cell.SerialPhaseMS = ms(rest)
 		}
-		cell.Steals = sched.steals
 		cell.SchedTasks = sched.tasks
 		if sched.span > 0 {
 			cell.Utilization = float64(sched.busy) / float64(sched.span)

@@ -189,7 +189,7 @@ func run(in *Input, v Variant, cube *CubeIndex) (*Result, error) {
 // runSearch is the outer loop of Fig. 8: iterate over subset sizes, search
 // each candidate graph breadth-first, then generate the next graph from
 // the survivors. Each iteration records a trace span (candidate count plus
-// per-component search counters) and checks the input's context, so runs
+// per-family search counters) and checks the input's context, so runs
 // are observable and cancellable at every subset size.
 //
 // With Input.Check set, a snapshot is saved after every completed iteration
@@ -215,7 +215,6 @@ func runSearch(in *Input, maker rootFreqMaker, label string) (*Result, error) {
 	}
 	var history [][]resilience.NodeKey
 	startIter := 1
-	var resumed *iterResume
 	if snap := in.Resume; snap != nil {
 		if !snap.Fingerprint.Equal(fp) {
 			return nil, fmt.Errorf("core: resume snapshot was written by a different run (snapshot: %s, k=%d, %d rows; this run: %s, k=%d, %d rows)",
@@ -235,9 +234,6 @@ func runSearch(in *Input, maker rootFreqMaker, label string) (*Result, error) {
 		startIter = snap.Iter + 1
 		stats = statsFromMap(snap.Stats)
 		history = append(history, snap.History...)
-		if len(snap.Families) > 0 || snap.Frontier != nil {
-			resumed = &iterResume{families: snap.Families, frontier: snap.Frontier}
-		}
 		sp.SetAttr("resumed_at_iteration", startIter)
 	}
 
@@ -251,28 +247,21 @@ func runSearch(in *Input, maker rootFreqMaker, label string) (*Result, error) {
 		}
 		it := sp.Start("iteration")
 		it.SetAttr("subset_size", i)
-		var rc *iterResume
+		ck := newIterCkpt(in.Check, fp, i-1, history, stats, graph.Len())
+		it.Add(CounterCandidates, int64(graph.Len()))
+		stats.Candidates += graph.Len()
+		in.Progress.AddCandidates(int64(graph.Len()))
+		// The snapshot being resumed describes partial progress inside the
+		// iteration it interrupted, and only that one.
+		var resume *resilience.Snapshot
 		if i == startIter {
-			rc = resumed
-		}
-		// A level-boundary snapshot's Stats already include this iteration's
-		// candidate count (see iterCkpt); every other entry path adds it here.
-		if rc == nil || rc.frontier == nil {
-			it.Add(CounterCandidates, int64(graph.Len()))
-			stats.Candidates += graph.Len()
-			in.Progress.AddCandidates(int64(graph.Len()))
-		}
-		var ck *iterCkpt
-		if in.Check != nil {
-			base := stats
-			base.Candidates -= graph.Len() // family snapshots exclude the bump
-			ck = &iterCkpt{check: in.Check, fp: fp, iter: i - 1, history: history, base: base}
+			resume = in.Resume
 		}
 		var proven map[int]bool
 		if in.Budget != nil {
 			proven = make(map[int]bool)
 		}
-		surv, complete, err := searchGraphFamilies(in, graph, maker, &stats, it, rc, ck, proven)
+		surv, complete, err := searchGraphFamilies(in, graph, maker, &stats, it, resume, ck, proven)
 		it.End()
 		if err != nil {
 			return nil, err
@@ -381,30 +370,28 @@ func (q *nodeQueue) Pop() interface{} {
 	return x
 }
 
-// searchComponent is the Fig. 8 breadth-first search over one self-contained
-// component of a candidate graph — the whole graph on the sequential path,
-// or a single family on the parallel path — with a caller-chosen root
-// frequency-set provider; the Incognito variants differ only in that
-// provider. nodes must be closed under g's edges (no edge may leave the
-// set) and roots must be exactly the members of nodes with no incoming
-// edge.
+// searchFamily is the Fig. 8 breadth-first search over one family of a
+// candidate graph — the candidates over one attribute subset — with a
+// caller-chosen root frequency-set provider; the Incognito variants differ
+// only in that provider. nodes must be closed under g's edges (no edge may
+// leave the set), which every family is.
 //
-// The maker's counters go to a private sink merged into stats at the end,
-// so that on a frontier resume (fr non-nil) the restore phase — which
-// recomputes frequency sets the original run already counted before the
-// snapshot — can be discarded from the totals. ck, when non-nil, saves a
-// frontier snapshot at every breadth-first level boundary. proven, when
-// non-nil, collects the nodes known k-anonymous (checked-passed or marked),
-// the best-so-far set a budget-aborted run returns. complete is false when
-// the search bailed early (cancellation or the budget's hard stop).
-func searchComponent(in *Input, g *lattice.Graph, nodes, roots []*lattice.Node, maker rootFreqMaker, stats *Stats, ck *iterCkpt, fr *resilience.Frontier, proven map[int]bool) (surv map[int]bool, complete bool, err error) {
+// stats holds the family's own counters: zero for a fresh search, the
+// frontier's recorded counters on a frontier resume (fr non-nil). The
+// maker's counters go to a private sink merged into stats at the end, so
+// the restore phase — which recomputes frequency sets the original run
+// already counted before the snapshot — can be discarded. ck, when
+// non-nil, saves a level snapshot of this family at every breadth-first
+// level boundary. proven, when non-nil, collects the nodes known
+// k-anonymous (checked-passed or marked), the best-so-far set a
+// budget-aborted run returns. complete is false when the search bailed
+// early (cancellation or the budget's hard stop).
+func searchFamily(in *Input, g *lattice.Graph, nodes []*lattice.Node, maker rootFreqMaker, stats *Stats, ck *iterCkpt, fr *resilience.Frontier, proven map[int]bool) (surv map[int]bool, complete bool, err error) {
 	surv = make(map[int]bool, len(nodes))
 	for _, n := range nodes {
 		surv[n.ID] = true
 	}
-	if len(nodes) == 0 {
-		return surv, true, nil
-	}
+	roots := familyRoots(g, nodes)
 
 	var makerStats Stats
 	rootFreq := maker(roots, &makerStats)
@@ -483,7 +470,7 @@ func searchComponent(in *Input, g *lattice.Graph, nodes, roots []*lattice.Node, 
 				if lastHeight >= 0 && len(outcomes) > 0 {
 					total := *stats
 					total.Add(makerStats)
-					ck.saveLevel(outcomes, total)
+					ck.saveLevel(nodes[0].Dims, outcomes, total)
 				}
 				lastHeight = h
 			}
@@ -589,9 +576,8 @@ func searchComponent(in *Input, g *lattice.Graph, nodes, roots []*lattice.Node, 
 }
 
 // variantRootFreqMaker returns the per-variant rootFreqMaker: handed a
-// component's roots and a Stats sink, it builds that component's root
-// frequency-set provider. The same maker serves the sequential search
-// (handed the whole graph's roots) and the per-family parallel search.
+// family's roots and a Stats sink, it builds that family's root
+// frequency-set provider.
 func variantRootFreqMaker(in *Input, v Variant, cube *CubeIndex) rootFreqMaker {
 	switch v {
 	case Basic:
@@ -619,22 +605,20 @@ func variantRootFreqMaker(in *Input, v Variant, cube *CubeIndex) rootFreqMaker {
 			}
 		}
 	case SuperRoots:
-		// Pre-compute one scan per family at the meet of its roots, then
+		// Pre-compute one scan at the meet of the family's roots, then
 		// derive every root's frequency set by rollup (§3.3.1).
 		return func(roots []*lattice.Node, stats *Stats) func(*lattice.Node) *relation.FreqSet {
-			rootSets := make(map[int]*relation.FreqSet)
-			for _, fam := range groupRootsByFamily(roots) {
-				dims, meet := lattice.Meet(fam)
-				stats.TableScans++
-				base := in.ScanFreq(dims, meet)
-				for _, r := range fam {
-					if sameLevels(meet, r.Levels) {
-						rootSets[r.ID] = base
-						continue
-					}
-					stats.Rollups++
-					rootSets[r.ID] = in.RollupTo(base, dims, meet, r.Levels)
+			dims, meet := lattice.Meet(roots)
+			stats.TableScans++
+			base := in.ScanFreq(dims, meet)
+			rootSets := make(map[int]*relation.FreqSet, len(roots))
+			for _, r := range roots {
+				if sameLevels(meet, r.Levels) {
+					rootSets[r.ID] = base
+					continue
 				}
+				stats.Rollups++
+				rootSets[r.ID] = in.RollupTo(base, dims, meet, r.Levels)
 			}
 			return func(n *lattice.Node) *relation.FreqSet { return rootSets[n.ID] }
 		}

@@ -35,7 +35,7 @@ type Input struct {
 	K           int64
 	MaxSuppress int64
 	// Parallelism bounds intra-run concurrency: 0 uses every core
-	// (GOMAXPROCS), 1 runs strictly sequentially (the reference path), and
+	// (GOMAXPROCS), 1 runs every phase inline on the calling goroutine, and
 	// n > 1 uses at most n workers. Solutions and Stats are identical at
 	// every setting; see parallel.go.
 	Parallelism int
@@ -70,10 +70,12 @@ type Input struct {
 	// Solutions and Stats are bit-identical either way; the knob exists for
 	// benchmarking the kernels against each other and as an escape hatch.
 	SparseKernel bool
-	// Check, when non-nil, snapshots the search frontier to disk at every
-	// checkpoint boundary — after each subset-size iteration, after each
-	// family completes on the parallel path, after each breadth-first level
-	// on the sequential path — so a killed run can be resumed. Snapshots
+	// Check, when non-nil, snapshots the search frontier to disk at
+	// checkpoint boundaries — after each subset-size iteration, and inside
+	// one after a family completes or, while families run one at a time,
+	// after a breadth-first level of the family in progress, spaced by
+	// 1/32 of the iteration's candidates searched — so a killed run can be
+	// resumed at any Parallelism. Snapshots
 	// hold marked lattice state and counters, never raw frequency sets;
 	// those are recomputed by rollup on resume.
 	Check *resilience.Checkpointer
@@ -252,12 +254,12 @@ func (in *Input) cardAt(dims, levels []int) []int {
 // ScanFreq computes the frequency set of the table with respect to the
 // given generalization by a full scan — the paper's COUNT(*) group-by over
 // the star schema. At Workers() > 1 the scan is chunked into row ranges
-// counted concurrently on the work-stealing scheduler and merged. The
+// counted concurrently on the scheduler and merged. The
 // result is identical either way, and so is the Stats and Progress
 // accounting (one table scan, every row counted once).
 func (in *Input) ScanFreq(dims, levels []int) *relation.FreqSet {
 	faultinject.Point("core.scan")
-	f := relation.GroupCountParallelSched(in.Table, in.cols(dims), in.recodeTables(dims, levels), in.cardAt(dims, levels), in.Workers(), in.schedMetrics())
+	f := relation.GroupCountParallel(in.Table, in.cols(dims), in.recodeTables(dims, levels), in.cardAt(dims, levels), in.Workers(), in.schedMetrics())
 	in.Progress.AddTableScans(1)
 	in.Progress.AddTuplesScanned(int64(in.Table.NumRows()))
 	in.Metrics.ObserveFreqSetSize(f.Len())

@@ -131,7 +131,7 @@ func MaterializeBudget(in *Input, budget int64) *MaterializedSet {
 	// stays: unlike the cube, which source a view margins from depends on
 	// estimated sizes of whatever is already materialized, so the
 	// dependency structure is dynamic, not a static DAG. Within a wave the
-	// work-stealing scheduler still rebalances the uneven view costs.)
+	// scheduler still rebalances the uneven view costs.)
 	workers := in.floorWorkers(in.Workers())
 	for lo := 0; lo < len(masks); {
 		if in.Err() != nil {
@@ -364,7 +364,7 @@ func RunMaterialized(in Input, mat *MaterializedSet) (res *Result, err error) {
 		}
 	}()
 	// The maker serves roots from the (read-only) materialized set; each
-	// search component writes its counters to its own Stats, so the family
+	// family search writes its counters to its own Stats, so the family
 	// searches can run in parallel.
 	maker := func(_ []*lattice.Node, stats *Stats) func(*lattice.Node) *relation.FreqSet {
 		return func(nd *lattice.Node) *relation.FreqSet {

@@ -3,16 +3,16 @@ package core
 // This file implements intra-run parallelism. Iteration i of Fig. 8
 // decomposes into one independent candidate graph per i-attribute subset
 // ("family"): families share no nodes and no edges, and the breadth-first
-// search of one family never reads another's state. The parallel driver
-// therefore schedules each family as one task of the work-stealing
-// scheduler (internal/sched) with its own Stats, then merges survivors
-// and counters in family order. Families have wildly uneven costs — one
-// fails deep while its siblings pass at the roots — which is exactly what
-// stealing absorbs and a fixed shard assignment serialized on. Because
-// the per-family search is byte-for-byte the sequential search and the
-// merge runs in family-index order on the coordinator, the survivor sets
-// — and hence the solutions — are identical at every worker count; the
-// Stats counters are per-family sums, so they are identical too.
+// search of one family never reads another's state. The one search driver
+// therefore runs each family as one task of the scheduler (internal/sched)
+// with its own Stats, then merges survivors and counters in family order.
+// Families have wildly uneven costs — one fails deep while its siblings
+// pass at the roots — which the scheduler's shared ready list absorbs: an
+// idle worker takes the next family. Because every family is searched the
+// same way whether it runs inline or on a worker, and the merge runs in
+// family-index order on the coordinator, the survivor sets — and hence the
+// solutions — are identical at every worker count; the Stats counters are
+// per-family sums, so they are identical too.
 
 import (
 	"fmt"
@@ -27,7 +27,7 @@ import (
 )
 
 // Workers resolves the Input's Parallelism knob to a concrete worker
-// count: 0 means GOMAXPROCS, 1 (or less) means strictly sequential, and
+// count: 0 means GOMAXPROCS, 1 (or less) means one worker, and
 // anything larger is used as given.
 func (in *Input) Workers() int {
 	switch {
@@ -80,11 +80,11 @@ func (in *Input) floorWorkers(workers int) int {
 	return workers
 }
 
-// runIndexedSafe executes fn(0), …, fn(n-1) on the work-stealing
-// scheduler with worker panic isolation: each index runs under a recover
-// wrapper that converts a panic into a *resilience.PanicError naming the
-// index's site and flips the input's abort flag, so sibling workers drain
-// through their ordinary Err checks instead of crashing the process. The
+// runIndexedSafe executes fn(0), …, fn(n-1) on the scheduler with worker
+// panic isolation: each index runs under a recover wrapper that converts
+// a panic into a *resilience.PanicError naming the index's site and flips
+// the input's abort flag, so sibling workers drain through their ordinary
+// Err checks instead of crashing the process. The
 // lowest-index panic is returned; results committed by other indices are
 // discarded by the caller alongside the error, so no partial state
 // escapes. The recover wrapper also guards the inline (workers ≤ 1) path,
@@ -132,95 +132,61 @@ func runGraphSafe(in *Input, workers, n int, children [][]int, site func(i int) 
 	return nil
 }
 
-// rootFreqMaker builds the root frequency-set provider for one search
-// component, given the component's roots; all the counter writes of the
-// provider must go to stats, so the parallel driver can hand every family
-// its own Stats and merge them deterministically.
+// rootFreqMaker builds the root frequency-set provider for one family,
+// given the family's roots; all the counter writes of the provider must go
+// to stats, so the driver can hand every family its own Stats and merge
+// them deterministically.
 type rootFreqMaker func(roots []*lattice.Node, stats *Stats) func(*lattice.Node) *relation.FreqSet
 
 // searchGraphFamilies runs the Fig. 8 breadth-first search over a whole
-// candidate graph. At Workers() ≤ 1 it takes the sequential reference path
-// — one height-ordered queue over the full graph. Otherwise it searches
-// the graph's families concurrently and merges the per-family survivor
-// maps and Stats in family order. Both paths return identical survivors
-// and identical counters (see the package comment above). Each component
-// search records a child span of parent — one "component" span covering
-// the whole graph on the sequential path, one "family" span per attribute
-// subset on the parallel path — carrying that component's work counters,
-// and the worker loop checks the input's context before starting a family.
+// candidate graph, one family (attribute subset) at a time, and merges the
+// per-family survivor maps, Stats and proven sets in family order. Each
+// family records a child span of parent carrying its work counters, and
+// checks the input's context before it starts.
 //
-// rc restores a resumed snapshot's partial state for this iteration (nil
-// otherwise): recorded families force the family path regardless of worker
-// count, a frontier forces the sequential path — either way the results are
-// identical, per the package comment. ck, when non-nil, saves a snapshot as
-// each family (or breadth-first level) completes. complete is false when
-// the search bailed early at the memory budget's hard stop; cancellation is
-// reported by in.Err as before, and a worker panic comes back as the error.
-func searchGraphFamilies(in *Input, g *lattice.Graph, maker rootFreqMaker, stats *Stats, parent *trace.Span, rc *iterResume, ck *iterCkpt, proven map[int]bool) (surv map[int]bool, complete bool, err error) {
-	if g.Len() == 0 {
-		return map[int]bool{}, true, nil
-	}
-	workers := in.Workers()
+// resume is the snapshot being resumed when this is the iteration it
+// interrupted (nil otherwise): its completed families are restored without
+// re-searching, and its frontier family continues from the recorded level
+// with its recorded counters. ck, when non-nil, saves snapshots at family
+// boundaries and — when families run inline, one at a time — at the
+// breadth-first levels of the family in progress. complete is false
+// when the search bailed early at the memory budget's hard stop;
+// cancellation is reported by in.Err as before, and a worker panic comes
+// back as the error.
+func searchGraphFamilies(in *Input, g *lattice.Graph, maker rootFreqMaker, stats *Stats, parent *trace.Span, resume *resilience.Snapshot, ck *iterCkpt, proven map[int]bool) (surv map[int]bool, complete bool, err error) {
 	fams := g.Families()
-	useFamilies := workers > 1 && len(fams) > 1
-	if rc != nil && len(rc.families) > 0 {
-		useFamilies = true
-	}
-	if rc != nil && rc.frontier != nil {
-		useFamilies = false
-	}
-	if !useFamilies {
-		sp := parent.Start("component")
-		sp.SetAttr("families", len(fams))
-		sp.SetAttr("nodes", g.Len())
-		before := *stats
-		roots := g.Roots()
-		var fr *resilience.Frontier
-		if rc != nil {
-			fr = rc.frontier
-		}
-		surv, complete, err = searchComponent(in, g, g.Nodes(), roots, maker, stats, ck, fr, proven)
-		stats.Sub(before).recordOn(sp)
-		sp.End()
-		return surv, complete, err
-	}
 	restored := make(map[string]*resilience.FamilyState)
-	if rc != nil {
-		for i := range rc.families {
-			restored[dimsKey(rc.families[i].Dims)] = &rc.families[i]
+	var frontier *resilience.Frontier
+	if resume != nil {
+		for i := range resume.Families {
+			restored[dimsKey(resume.Families[i].Dims)] = &resume.Families[i]
 		}
-		ck.preload(rc.families)
+		ck.preload(resume.Families)
+		frontier = resume.Frontier
 	}
 	results := make([]map[int]bool, len(fams))
 	famStats := make([]Stats, len(fams))
+	famProven := make([]map[int]bool, len(fams))
 	completes := make([]bool, len(fams))
 	errs := make([]error, len(fams))
-	// The family *path* is chosen by the parallelism knob above; whether it
-	// actually dispatches goroutines is a separate decision, clamped to the
-	// task count and floored by input size. Results are identical either
-	// way — the inline loop runs the same tasks in index order.
+	// Families run inline, in family order, on one worker, for a single
+	// family, or below the dispatch floor; only then is one family in
+	// progress at a time, so only then can a snapshot hold its frontier.
 	dispatch := in.floorWorkers(in.workersFor(len(fams)))
+	levelCk := ck
+	if dispatch > 1 {
+		levelCk = nil
+	}
 	werr := runIndexedSafe(in, dispatch, len(fams), func(i int) string { return fmt.Sprintf("family[%d]", i) }, func(i int) {
 		nodes := fams[i]
-		if fs := restored[dimsKey(nodes[0].Dims)]; fs != nil {
+		key := dimsKey(nodes[0].Dims)
+		if fs := restored[key]; fs != nil {
 			// This family completed before the checkpoint: reconstruct its
 			// survivor map from the recorded failures and take its counters
 			// verbatim instead of re-searching it.
-			m := make(map[int]bool, len(nodes))
-			for _, nd := range nodes {
-				m[nd.ID] = true
-			}
-			for _, k := range fs.Failed {
-				nd := g.Lookup(k.Dims, k.Levels)
-				if nd == nil {
-					errs[i] = fmt.Errorf("core: resume snapshot names a node %v/%v absent from iteration graph", k.Dims, k.Levels)
-					return
-				}
-				m[nd.ID] = false
-			}
-			results[i] = m
+			results[i], errs[i] = familySurvivors(g, nodes, fs.Failed)
 			famStats[i] = statsFromMap(fs.Stats)
-			completes[i] = true
+			completes[i] = errs[i] == nil
 			sp := parent.Start("family")
 			sp.SetAttr("dims", nodes[0].DimsKey())
 			sp.SetAttr("nodes", len(nodes))
@@ -239,13 +205,20 @@ func searchGraphFamilies(in *Input, g *lattice.Graph, maker rootFreqMaker, stats
 		sp := parent.Start("family")
 		sp.SetAttr("dims", nodes[0].DimsKey())
 		sp.SetAttr("nodes", len(nodes))
-		roots := familyRoots(g, nodes)
+		var fr *resilience.Frontier
+		if frontier != nil && dimsKey(frontier.Dims) == key {
+			fr = frontier
+			famStats[i] = statsFromMap(fr.Stats)
+		}
+		if proven != nil {
+			famProven[i] = make(map[int]bool)
+		}
 		st := &famStats[i]
-		results[i], completes[i], errs[i] = searchComponent(in, g, nodes, roots, maker, st, nil, nil, nil)
+		results[i], completes[i], errs[i] = searchFamily(in, g, nodes, maker, st, levelCk, fr, famProven[i])
 		st.recordOn(sp)
 		sp.End()
-		if completes[i] && in.Err() == nil {
-			ck.addFamily(familyState(nodes, results[i], *st))
+		if completes[i] && errs[i] == nil && in.Err() == nil {
+			ck.addFamily(nodes, results[i], *st)
 		}
 	})
 	if werr != nil {
@@ -265,12 +238,32 @@ func searchGraphFamilies(in *Input, g *lattice.Graph, maker rootFreqMaker, stats
 		for id, ok := range results[i] {
 			surv[id] = ok
 		}
+		for id := range famProven[i] {
+			proven[id] = true
+		}
 		stats.Add(famStats[i])
 		if !completes[i] {
 			complete = false
 		}
 	}
 	return surv, complete, nil
+}
+
+// familySurvivors rebuilds a completed family's survivor map from the
+// candidates a snapshot recorded as failed.
+func familySurvivors(g *lattice.Graph, nodes []*lattice.Node, failed []resilience.NodeKey) (map[int]bool, error) {
+	m := make(map[int]bool, len(nodes))
+	for _, nd := range nodes {
+		m[nd.ID] = true
+	}
+	for _, k := range failed {
+		nd := g.Lookup(k.Dims, k.Levels)
+		if nd == nil {
+			return nil, fmt.Errorf("core: resume snapshot names a node %v/%v absent from iteration graph", k.Dims, k.Levels)
+		}
+		m[nd.ID] = false
+	}
+	return m, nil
 }
 
 // familyState records one completed family for a checkpoint: its attribute
@@ -287,32 +280,13 @@ func familyState(nodes []*lattice.Node, surv map[int]bool, st Stats) resilience.
 }
 
 // familyRoots returns the roots (no incoming edge) among one family's
-// nodes, in ID order — the same relative order g.Roots() yields them in.
+// nodes, in ID order.
 func familyRoots(g *lattice.Graph, nodes []*lattice.Node) []*lattice.Node {
 	var out []*lattice.Node
 	for _, n := range nodes {
 		if len(g.Down(n.ID)) == 0 {
 			out = append(out, n)
 		}
-	}
-	return out
-}
-
-// groupRootsByFamily partitions roots by attribute subset, preserving
-// first-seen order, so the super-roots provider scans families in the same
-// deterministic order whether it is handed one family or the whole graph.
-func groupRootsByFamily(roots []*lattice.Node) [][]*lattice.Node {
-	idx := make(map[string]int)
-	var out [][]*lattice.Node
-	for _, r := range roots {
-		k := r.DimsKey()
-		i, ok := idx[k]
-		if !ok {
-			i = len(out)
-			idx[k] = i
-			out = append(out, nil)
-		}
-		out[i] = append(out[i], r)
 	}
 	return out
 }

@@ -14,7 +14,7 @@ import (
 )
 
 // parallelismLevels are the worker counts every determinism test sweeps:
-// the sequential reference, two fixed parallel settings (2 and 4 — more
+// one worker (every phase inline, the reference), two fixed parallel settings (2 and 4 — more
 // workers than a small phase has tasks, exercising the clamp), and
 // whatever the machine offers.
 func parallelismLevels() []int {
@@ -44,10 +44,10 @@ func determinismInputs(tb testing.TB) []Input {
 
 // TestDeterminismAcrossParallelism is the tentpole's contract: every
 // algorithm variant, on both frequency-set kernels, must produce
-// byte-identical Solutions AND Stats at parallelism 1 (the sequential
-// reference), 2, 4, and GOMAXPROCS. Run under -race this also proves the
-// work-stealing family decomposition, the cube's dependency-graph
-// scheduling, and the chunked scans are data-race free.
+// byte-identical Solutions AND Stats at parallelism 1 (every phase inline,
+// the reference), 2, 4, and GOMAXPROCS. Run under -race this also proves
+// the dispatched family search, the cube's dependency-graph scheduling,
+// and the chunked scans are data-race free.
 func TestDeterminismAcrossParallelism(t *testing.T) {
 	variants := []Variant{Basic, SuperRoots, Cube}
 	for di, ref := range determinismInputs(t) {
@@ -230,7 +230,7 @@ func TestClampedDispatchStaysInline(t *testing.T) {
 }
 
 // TestNoGoroutineLeakAfterCancellation cancels runs at many points —
-// including mid-phase, while workers are stealing — and checks every
+// including mid-phase, while workers are taking tasks — and checks every
 // scheduler goroutine has exited afterwards. The scheduler only returns
 // from a phase when all its workers have, so cancellation (which drains
 // tasks through Err checks) must leave no goroutine behind.
@@ -256,12 +256,11 @@ func TestNoGoroutineLeakAfterCancellation(t *testing.T) {
 	}
 }
 
-// TestStealRebalancesFamilies drives a multi-family graph through the
+// TestSchedulerMetricsSeeFamilies drives a multi-family graph through the
 // scheduler with telemetry on and checks the scheduler metrics see the
-// phases: tasks executed, and (at worker counts below the family count)
-// a non-zero chance of steals having occurred is not asserted — stealing
-// is schedule-dependent — but the dispatch accounting must balance.
-func TestStealRebalancesFamilies(t *testing.T) {
+// phases: tasks executed, parallel phases dispatched, and a utilization
+// in range.
+func TestSchedulerMetricsSeeFamilies(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	in := determinismInputs(t)[1]
 	in.Parallelism = 3

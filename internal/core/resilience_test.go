@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"testing"
 
+	"incognito/internal/dataset"
 	"incognito/internal/resilience"
 )
 
@@ -54,18 +55,33 @@ func checkpointDir(t *testing.T) string {
 // ANY checkpoint boundary — every subset-size iteration, every completed
 // family, every breadth-first level — must resume from its snapshot to
 // Solutions and Stats bit-identical to an uninterrupted run, across
-// variants, parallelism levels, and kernels. The AfterSave hook cancels the
-// run right after the b-th snapshot lands, for every b until the run
-// outlives its checkpoints.
+// variants, parallelism levels, and kernels. The resume may run at a
+// different parallelism than the killed run: snapshots written with
+// families inline (p=1, level frontiers) resume with families dispatched
+// (the top level), and the reverse. The AfterSave hook cancels the run
+// right after the b-th snapshot lands, for every b until the run outlives
+// its checkpoints.
 func TestKillAndResumeBitIdentical(t *testing.T) {
 	type config struct {
 		input    int
 		parallel []int
 		sparse   []bool
 	}
+	top := parallelismLevels()[len(parallelismLevels())-1]
 	configs := []config{
 		{0, parallelismLevels(), []bool{false, true}}, // Patients: full matrix
-		{1, []int{1, parallelismLevels()[len(parallelismLevels())-1]}, []bool{false}},
+		{1, []int{1, top}, []bool{false}},
+	}
+	// resumeLevels are the parallelisms a run killed at p resumes at: p
+	// itself, and across the inline/dispatched divide for the extremes.
+	resumeLevels := func(p int) []int {
+		switch p {
+		case 1:
+			return []int{1, top}
+		case top:
+			return []int{top, 1}
+		}
+		return []int{p}
 	}
 	inputs := determinismInputs(t)
 	boundaries := make(map[string]bool)
@@ -73,91 +89,95 @@ func TestKillAndResumeBitIdentical(t *testing.T) {
 		base := inputs[cfg.input]
 		for _, variant := range resilienceVariants {
 			for _, p := range cfg.parallel {
-				for _, sparse := range cfg.sparse {
-					name := fmt.Sprintf("input=%d/%s/p=%d/sparse=%v", cfg.input, variant.name, p, sparse)
-					t.Run(name, func(t *testing.T) {
-						ref := base
-						ref.Parallelism = p
-						ref.SparseKernel = sparse
-						want, err := variant.run(ref)
-						if err != nil {
-							t.Fatal(err)
+				for _, rp := range resumeLevels(p) {
+					for _, sparse := range cfg.sparse {
+						name := fmt.Sprintf("input=%d/%s/p=%d/sparse=%v", cfg.input, variant.name, p, sparse)
+						if rp != p {
+							name = fmt.Sprintf("input=%d/%s/p=%d/resume_p=%d/sparse=%v", cfg.input, variant.name, p, rp, sparse)
 						}
-
-						dir := checkpointDir(t)
-						completed := false
-						const maxSaves = 300
-						for b := 1; b <= maxSaves; b++ {
-							path := filepath.Join(dir, fmt.Sprintf("kill-%d.ckpt", b))
-							ck := resilience.NewCheckpointer(path)
-							ctx, cancel := context.WithCancel(context.Background())
-							saves := 0
-							ck.AfterSave = func(*resilience.Snapshot) {
-								saves++
-								if saves == b {
-									cancel()
-								}
+						t.Run(name, func(t *testing.T) {
+							ref := base
+							ref.Parallelism = p
+							ref.SparseKernel = sparse
+							want, err := variant.run(ref)
+							if err != nil {
+								t.Fatal(err)
 							}
-							in := base
-							in.Parallelism = p
-							in.SparseKernel = sparse
-							in.Ctx = ctx
-							in.Check = ck
-							res, err := variant.run(in)
-							cancel()
-							if err == nil {
-								// The run outlived its checkpoints: the result must
-								// be complete and the snapshot file cleared.
-								if !reflect.DeepEqual(res.Solutions, want.Solutions) || res.Stats != want.Stats {
-									t.Fatalf("kill=%d: uninterrupted checkpointed run differs from reference", b)
+
+							dir := checkpointDir(t)
+							completed := false
+							const maxSaves = 300
+							for b := 1; b <= maxSaves; b++ {
+								path := filepath.Join(dir, fmt.Sprintf("kill-%d.ckpt", b))
+								ck := resilience.NewCheckpointer(path)
+								ctx, cancel := context.WithCancel(context.Background())
+								saves := 0
+								ck.AfterSave = func(*resilience.Snapshot) {
+									saves++
+									if saves == b {
+										cancel()
+									}
+								}
+								in := base
+								in.Parallelism = p
+								in.SparseKernel = sparse
+								in.Ctx = ctx
+								in.Check = ck
+								res, err := variant.run(in)
+								cancel()
+								if err == nil {
+									// The run outlived its checkpoints: the result must
+									// be complete and the snapshot file cleared.
+									if !reflect.DeepEqual(res.Solutions, want.Solutions) || res.Stats != want.Stats {
+										t.Fatalf("kill=%d: uninterrupted checkpointed run differs from reference", b)
+									}
+									if _, serr := os.Stat(path); !os.IsNotExist(serr) {
+										t.Fatalf("kill=%d: completed run left its checkpoint behind", b)
+									}
+									completed = true
+									break
+								}
+								if !errors.Is(err, context.Canceled) {
+									t.Fatalf("kill=%d: run failed with %v, want cancellation", b, err)
+								}
+								snap, lerr := resilience.Load(path)
+								if lerr != nil {
+									t.Fatalf("kill=%d: loading snapshot: %v", b, lerr)
+								}
+								boundaries[snap.Boundary] = true
+
+								re := base
+								re.Parallelism = rp
+								re.SparseKernel = sparse
+								re.Resume = snap
+								re.Check = resilience.NewCheckpointer(path)
+								got, rerr := variant.run(re)
+								if rerr != nil {
+									t.Fatalf("kill=%d: resume from %s boundary failed: %v", b, snap.Boundary, rerr)
+								}
+								if !reflect.DeepEqual(got.Solutions, want.Solutions) {
+									t.Fatalf("kill=%d (%s boundary): resumed solutions differ:\ngot  %v\nwant %v",
+										b, snap.Boundary, got.Solutions, want.Solutions)
+								}
+								if got.Stats != want.Stats {
+									t.Fatalf("kill=%d (%s boundary): resumed stats differ:\ngot  %+v\nwant %+v",
+										b, snap.Boundary, got.Stats, want.Stats)
 								}
 								if _, serr := os.Stat(path); !os.IsNotExist(serr) {
-									t.Fatalf("kill=%d: completed run left its checkpoint behind", b)
+									t.Fatalf("kill=%d: resumed run left its checkpoint behind", b)
 								}
-								completed = true
-								break
 							}
-							if !errors.Is(err, context.Canceled) {
-								t.Fatalf("kill=%d: run failed with %v, want cancellation", b, err)
+							if !completed {
+								t.Fatalf("run never outlived %d checkpoint kills", maxSaves)
 							}
-							snap, lerr := resilience.Load(path)
-							if lerr != nil {
-								t.Fatalf("kill=%d: loading snapshot: %v", b, lerr)
-							}
-							boundaries[snap.Boundary] = true
-
-							re := base
-							re.Parallelism = p
-							re.SparseKernel = sparse
-							re.Resume = snap
-							re.Check = resilience.NewCheckpointer(path)
-							got, rerr := variant.run(re)
-							if rerr != nil {
-								t.Fatalf("kill=%d: resume from %s boundary failed: %v", b, snap.Boundary, rerr)
-							}
-							if !reflect.DeepEqual(got.Solutions, want.Solutions) {
-								t.Fatalf("kill=%d (%s boundary): resumed solutions differ:\ngot  %v\nwant %v",
-									b, snap.Boundary, got.Solutions, want.Solutions)
-							}
-							if got.Stats != want.Stats {
-								t.Fatalf("kill=%d (%s boundary): resumed stats differ:\ngot  %+v\nwant %+v",
-									b, snap.Boundary, got.Stats, want.Stats)
-							}
-							if _, serr := os.Stat(path); !os.IsNotExist(serr) {
-								t.Fatalf("kill=%d: resumed run left its checkpoint behind", b)
-							}
-						}
-						if !completed {
-							t.Fatalf("run never outlived %d checkpoint kills", maxSaves)
-						}
-					})
+						})
+					}
 				}
 			}
 		}
 	}
 	// The sweep must have exercised every snapshot boundary kind: iteration
-	// ends, completed families (parallel path), and breadth-first levels
-	// (sequential path).
+	// ends, completed families, and breadth-first levels (families inline).
 	for _, b := range []string{"iteration", "family", "level"} {
 		if !boundaries[b] {
 			t.Errorf("kill sweep never hit a %q boundary snapshot", b)
@@ -328,8 +348,10 @@ func TestBudgetShedsMaterialization(t *testing.T) {
 // TestBudgetHardStopReturnsProvenSubset pins the last rung: past twice the
 // budget the run aborts with ErrDegraded, returning a result whose solutions
 // are a subset of the true solution set, with the abort recorded on the
-// accountant.
+// accountant. It runs with families inline (p=1) and dispatched (the top
+// parallelism level), so the per-family proven sets are merged both ways.
 func TestBudgetHardStopReturnsProvenSubset(t *testing.T) {
+	top := parallelismLevels()[len(parallelismLevels())-1]
 	for di, base := range determinismInputs(t) {
 		reference := make(map[string]bool)
 		in := base
@@ -340,24 +362,27 @@ func TestBudgetHardStopReturnsProvenSubset(t *testing.T) {
 		for _, s := range want.Solutions {
 			reference[fmt.Sprint(s)] = true
 		}
-		for _, v := range []Variant{Basic, SuperRoots, Cube} {
-			a := resilience.NewAccountant(1) // every long-lived set blows the hard stop
-			in := base
-			in.Budget = a
-			res, err := Run(in, v)
-			if !errors.Is(err, resilience.ErrDegraded) {
-				t.Fatalf("input=%d %v: err = %v, want ErrDegraded", di, v, err)
-			}
-			if res == nil {
-				t.Fatalf("input=%d %v: degraded run returned no best-so-far result", di, v)
-			}
-			for _, s := range res.Solutions {
-				if !reference[fmt.Sprint(s)] {
-					t.Errorf("input=%d %v: degraded run claims non-solution %v", di, v, s)
+		for _, p := range []int{1, top} {
+			for _, v := range []Variant{Basic, SuperRoots, Cube} {
+				a := resilience.NewAccountant(1) // every long-lived set blows the hard stop
+				in := base
+				in.Parallelism = p
+				in.Budget = a
+				res, err := Run(in, v)
+				if !errors.Is(err, resilience.ErrDegraded) {
+					t.Fatalf("input=%d p=%d %v: err = %v, want ErrDegraded", di, p, v, err)
 				}
-			}
-			if !a.Aborted() {
-				t.Errorf("input=%d %v: abort not recorded on the accountant", di, v)
+				if res == nil {
+					t.Fatalf("input=%d p=%d %v: degraded run returned no best-so-far result", di, p, v)
+				}
+				for _, s := range res.Solutions {
+					if !reference[fmt.Sprint(s)] {
+						t.Errorf("input=%d p=%d %v: degraded run claims non-solution %v", di, p, v, s)
+					}
+				}
+				if !a.Aborted() {
+					t.Errorf("input=%d p=%d %v: abort not recorded on the accountant", di, p, v)
+				}
 			}
 		}
 	}
@@ -390,4 +415,49 @@ func TestBudgetCompleteRunBalancesAccounting(t *testing.T) {
 	if a.DenseFallbacks() != 0 || a.Sheds() != 0 || a.Aborted() {
 		t.Error("generous budget recorded degradation events")
 	}
+}
+
+// TestCheckpointSavesAreSpaced pins the save cadence: with hundreds of
+// families run inline, an iteration writes a bounded number of
+// mid-iteration snapshots — spaced by the search work done — instead of one
+// per family and per level, and the run's results do not change.
+func TestCheckpointSavesAreSpaced(t *testing.T) {
+	a := dataset.Adults(2000, 1)
+	cols, hs, err := a.QISubset(9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := NewInput(a.Table, cols, hs, 10, 0)
+	in.Parallelism = 1
+	want, err := Run(in, Basic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck := resilience.NewCheckpointer(filepath.Join(t.TempDir(), "run.ckpt"))
+	mid := make(map[int]int) // mid-iteration saves per interrupted iteration
+	ck.AfterSave = func(s *resilience.Snapshot) {
+		if s.Boundary != "iteration" {
+			mid[s.Iter+1]++
+		}
+	}
+	in.Check = ck
+	got, err := Run(in, Basic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Solutions, want.Solutions) || got.Stats != want.Stats {
+		t.Fatal("checkpointed run differs from the reference")
+	}
+	families := 1<<len(cols) - 1
+	total := 0
+	for it, n := range mid {
+		if n > 2*midSavesPerIteration {
+			t.Errorf("iteration %d wrote %d mid-iteration snapshots, want at most %d", it, n, 2*midSavesPerIteration)
+		}
+		total += n
+	}
+	if total >= families {
+		t.Errorf("%d mid-iteration snapshots for %d families: saves are not spaced", total, families)
+	}
+	t.Logf("%d mid-iteration snapshots for %d families", total, families)
 }

@@ -1,15 +1,18 @@
 package core
 
 // This file implements checkpoint/resume for the Incognito outer loop. A
-// snapshot never stores frequency sets — only which nodes were processed
-// with what outcome, plus the survivor history of completed iterations.
-// Everything else is derived on resume:
+// snapshot never stores frequency sets. It holds the survivor history of
+// completed iterations, the families of the in-progress iteration that
+// completed (their failed nodes and counters) and, when families run one
+// at a time, the family in progress: which of its nodes were processed
+// with what outcome, and its counters so far. Everything else is derived
+// on resume:
 //
 //   - candidate graphs and node IDs are replayed through lattice.Generate,
 //     which is deterministic, so heap tie-breaks (by ID) behave identically;
 //   - queue contents, marks, rollup parents and retained frequency sets of
-//     a partial breadth-first search are reconstructed from the processed
-//     list, replaying outcomes in their original order;
+//     a family's partial breadth-first search are reconstructed from the
+//     processed list, replaying outcomes in their original order;
 //   - frequency sets of failure-frontier nodes are recomputed by walking
 //     each node's rollup-parent chain down to a root (rollup property).
 //
@@ -26,30 +29,59 @@ import (
 	"incognito/internal/resilience"
 )
 
-// iterResume carries a resumed snapshot's partial state into the iteration
-// it interrupts: completed families on the parallel path, or the processed
-// frontier on the sequential path (at most one is set).
-type iterResume struct {
-	families []resilience.FamilyState
-	frontier *resilience.Frontier
-}
+// midSavesPerIteration bounds how many mid-iteration snapshots one
+// iteration writes. Every snapshot rewrites the whole survivor history and
+// every completed family, then fsyncs, so saving at every family and level
+// boundary of an iteration with hundreds of families costs more than the
+// search itself; one save per 1/32 of the iteration's candidate count
+// searched keeps a killed run's lost work small at a bounded cost.
+const midSavesPerIteration = 32
 
 // iterCkpt assembles and saves the mid-iteration snapshots of one subset-size
 // iteration. A nil *iterCkpt (checkpointing disabled) no-ops throughout.
-// Family saves arrive concurrently from the parallel workers; each save
+// Family saves arrive concurrently from dispatched workers; every save
 // includes every family completed so far.
 type iterCkpt struct {
 	check   *resilience.Checkpointer
 	fp      resilience.Fingerprint
 	iter    int // completed iterations before this one
 	history [][]resilience.NodeKey
-	// base is the Stats total through iteration iter, excluding the
-	// in-progress iteration's candidate count — the resume path re-adds it.
-	base Stats
+	// stats is the Stats total through iteration iter. The in-progress
+	// iteration's work — its candidate count included — is never in it:
+	// each family carries its own counters, and resume re-adds the rest.
+	stats Stats
+	// every is the search work (nodes checked or marked) between two
+	// mid-iteration saves.
+	every int
 
 	mu       sync.Mutex
 	families []resilience.FamilyState
+	work     int // search work of the families completed so far
+	savedAt  int // work at the last save
 	err      error
+}
+
+// newIterCkpt returns the checkpointer of one iteration over a graph of
+// `candidates` nodes, or nil when checkpointing is off.
+func newIterCkpt(check *resilience.Checkpointer, fp resilience.Fingerprint, iter int, history [][]resilience.NodeKey, stats Stats, candidates int) *iterCkpt {
+	if check == nil {
+		return nil
+	}
+	every := candidates / midSavesPerIteration
+	if every < 1 {
+		every = 1
+	}
+	return &iterCkpt{check: check, fp: fp, iter: iter, history: history, stats: stats, every: every}
+}
+
+// due reports whether a boundary reached at search work w is saved, and
+// if so moves the save mark there; c.mu must be held.
+func (c *iterCkpt) due(w int) bool {
+	if w-c.savedAt < c.every {
+		return false
+	}
+	c.savedAt = w
+	return true
 }
 
 // preload seeds the completed-family list with families restored from the
@@ -63,45 +95,52 @@ func (c *iterCkpt) preload(families []resilience.FamilyState) {
 	c.families = append(c.families, families...)
 }
 
-// addFamily records one newly completed family and saves a family-boundary
-// snapshot carrying all families completed so far.
-func (c *iterCkpt) addFamily(fs resilience.FamilyState) {
+// addFamily records one newly completed family — its nodes, survivors and
+// the counters st its search spent — and, when due, saves a
+// family-boundary snapshot carrying all families completed so far.
+func (c *iterCkpt) addFamily(nodes []*lattice.Node, surv map[int]bool, st Stats) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.families = append(c.families, fs)
-	snap := &resilience.Snapshot{
-		Fingerprint: c.fp,
-		Boundary:    "family",
-		Iter:        c.iter,
-		History:     c.history,
-		Stats:       statsToMap(c.base),
-		Families:    append([]resilience.FamilyState(nil), c.families...),
-	}
-	if err := c.check.Save(snap); err != nil && c.err == nil {
-		c.err = err
+	c.families = append(c.families, familyState(nodes, surv, st))
+	c.work += st.NodesChecked + st.NodesMarked
+	if c.due(c.work) {
+		c.save("family", nil)
 	}
 }
 
-// saveLevel saves a level-boundary snapshot of the sequential search:
-// the processed-node outcomes so far, and — unlike family snapshots — the
-// full running Stats total including the in-progress iteration's work, which
-// the resume path therefore does not re-add.
-func (c *iterCkpt) saveLevel(processed []resilience.NodeOutcome, total Stats) {
+// saveLevel saves, when due, a level-boundary snapshot: the completed
+// families plus the frontier of the one family in progress — its
+// processed-node outcomes so far and the counters st its search has spent.
+func (c *iterCkpt) saveLevel(dims []int, processed []resilience.NodeOutcome, st Stats) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if !c.due(c.work + st.NodesChecked + st.NodesMarked) {
+		return
+	}
+	c.save("level", &resilience.Frontier{
+		Dims:      append([]int(nil), dims...),
+		Processed: append([]resilience.NodeOutcome(nil), processed...),
+		Stats:     statsToMap(st),
+	})
+}
+
+// save writes one snapshot of the iteration; c.mu must be held. The first
+// save error is kept for takeErr.
+func (c *iterCkpt) save(boundary string, fr *resilience.Frontier) {
 	snap := &resilience.Snapshot{
 		Fingerprint: c.fp,
-		Boundary:    "level",
+		Boundary:    boundary,
 		Iter:        c.iter,
 		History:     c.history,
-		Stats:       statsToMap(total),
-		Frontier:    &resilience.Frontier{Processed: append([]resilience.NodeOutcome(nil), processed...)},
+		Stats:       statsToMap(c.stats),
+		Families:    append([]resilience.FamilyState(nil), c.families...),
+		Frontier:    fr,
 	}
 	if err := c.check.Save(snap); err != nil && c.err == nil {
 		c.err = err
@@ -176,10 +215,11 @@ func survivorsFromKeys(g *lattice.Graph, keys []resilience.NodeKey) (map[int]boo
 	return surv, nil
 }
 
-// restoreFrontier rebuilds a partial breadth-first search from a snapshot's
-// processed list, replaying outcomes in their original (heap) order so the
-// derived state — marks, rollup parents, pending-generalization counts — is
-// exactly what the original run held at the save point. Frequency sets of
+// restoreFrontier rebuilds a family's partial breadth-first search from a
+// snapshot's processed list, replaying outcomes in their original (heap)
+// order so the derived state — marks, rollup parents,
+// pending-generalization counts — is exactly what the original run held at
+// the save point. Frequency sets of
 // failure-frontier nodes that can still be rolled up from are recomputed by
 // walking their rollup-parent chains down to roots; rootFreq must write its
 // counters to a discard sink, because this work was already counted before

@@ -724,39 +724,24 @@ func scanLUT(t *Table, cols []int, recode [][]int32, f *FreqSet) ([][]int64, boo
 const minShardRows = 2048
 
 // scanChunksPerWorker oversubscribes the chunked scan: cutting the table
-// into a few times more chunks than workers lets the work-stealing
-// scheduler rebalance when chunks cost unevenly (cache effects, a dense
+// into a few times more chunks than workers lets the scheduler's shared
+// ready list rebalance when chunks cost unevenly (cache effects, a dense
 // fallback to sparse mid-scan) or when a worker is preempted, without
 // multiplying the number of partial sets — partials are per-worker, not
 // per-chunk.
 const scanChunksPerWorker = 4
 
-// GroupCountParallel is GroupCount with the base-table scan chunked across
-// up to `workers` goroutines: each worker counts contiguous row ranges
-// into a private FreqSet and the partials are merged with AddFrom. Counts
-// are additive, so the result is identical to the sequential scan at every
-// worker count. workers ≤ 1 (or a table too small to shard) runs the plain
-// sequential GroupCount.
-func GroupCountParallel(t *Table, cols []int, recode [][]int32, workers int) *FreqSet {
-	return GroupCountParallelWithCard(t, cols, recode, InferCard(t, cols, recode), workers)
-}
-
-// GroupCountParallelWithCard is GroupCountParallel with explicit
-// cardinality bounds (nil card forces sparse). Dense shards share one
-// layout, so the merge is a vector add instead of a map iteration.
-func GroupCountParallelWithCard(t *Table, cols []int, recode [][]int32, card []int, workers int) *FreqSet {
-	return GroupCountParallelSched(t, cols, recode, card, workers, nil)
-}
-
-// GroupCountParallelSched is the scheduled form of the parallel scan: row
-// chunks (at least minShardRows each, a few per worker) become tasks of
-// the work-stealing scheduler, each worker accumulates the chunks it
-// executes — its own or stolen — into one worker-local FreqSet, and the
-// partials are merged in worker-index order. Counts are additive and
-// every chunk's layout decision uses the whole table's row count, so the
-// result is bit-identical to the sequential scan at every worker count
-// and every steal schedule. m may be nil (unmetered).
-func GroupCountParallelSched(t *Table, cols []int, recode [][]int32, card []int, workers int, m *sched.Metrics) *FreqSet {
+// GroupCountParallel is GroupCountWithCard (nil card forces sparse) with
+// the base-table scan chunked across up to `workers` goroutines: row
+// chunks (at least minShardRows each, a few per worker) become scheduler
+// tasks, each worker accumulates the chunks it executes into one
+// worker-local FreqSet, and the partials are merged in worker-index order.
+// Counts are additive and every chunk's layout decision uses the whole
+// table's row count, so the result is bit-identical to the sequential
+// scan at every worker count and every schedule; dense partials share one
+// layout, so the merge is a vector add. workers ≤ 1 (or a table too small
+// to shard) runs the plain sequential scan. m may be nil (unmetered).
+func GroupCountParallel(t *Table, cols []int, recode [][]int32, card []int, workers int, m *sched.Metrics) *FreqSet {
 	n := t.NumRows()
 	if max := n / minShardRows; workers > max {
 		workers = max

@@ -269,7 +269,7 @@ func TestGroupCountDenseMatchesSparse(t *testing.T) {
 		}
 		requireSameFreqSet(t, dense, sparse)
 		for _, workers := range []int{2, 4, 7} {
-			requireSameFreqSet(t, GroupCountParallel(tab, cols, recode, workers), sparse)
+			requireSameFreqSet(t, GroupCountParallel(tab, cols, recode, InferCard(tab, cols, recode), workers, nil), sparse)
 		}
 	}
 }

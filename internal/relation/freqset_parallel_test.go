@@ -36,7 +36,7 @@ func TestGroupCountParallelMatchesSequential(t *testing.T) {
 	for _, recode := range [][][]int32{nil, {gamma, nil, nil}} {
 		want := freqAsMap(GroupCount(tab, []int{0, 1, 2}, recode))
 		for _, workers := range []int{0, 1, 2, 3, 4, 7, 64} {
-			got := freqAsMap(GroupCountParallel(tab, []int{0, 1, 2}, recode, workers))
+			got := freqAsMap(GroupCountParallel(tab, []int{0, 1, 2}, recode, InferCard(tab, []int{0, 1, 2}, recode), workers, nil))
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("workers=%d recode=%v: parallel GroupCount diverged from sequential", workers, recode != nil)
 			}
@@ -50,7 +50,7 @@ func TestGroupCountParallelMatchesSequential(t *testing.T) {
 func TestGroupCountParallelSmallTable(t *testing.T) {
 	p := patients()
 	want := freqAsMap(GroupCount(p, []int{0, 1}, nil))
-	got := freqAsMap(GroupCountParallel(p, []int{0, 1}, nil, 8))
+	got := freqAsMap(GroupCountParallel(p, []int{0, 1}, nil, InferCard(p, []int{0, 1}, nil), 8, nil))
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("parallel GroupCount on a small table diverged from sequential")
 	}
@@ -180,7 +180,7 @@ func BenchmarkGroupCountSharded(b *testing.B) {
 		b.Run(benchName(w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				GroupCountParallel(tab, cols, nil, w)
+				GroupCountParallel(tab, cols, nil, InferCard(tab, cols, nil), w, nil)
 			}
 		})
 	}

@@ -13,8 +13,9 @@ import (
 )
 
 // SnapshotVersion is the checkpoint format version; Load rejects snapshots
-// written by an incompatible format.
-const SnapshotVersion = 1
+// written by an incompatible format. Version 2 has one shape for partial
+// progress: completed families plus, at most, one family's frontier.
+const SnapshotVersion = 2
 
 // NodeKey identifies a lattice node representation-independently: the QI
 // attribute subset and the per-attribute levels. Node IDs are deliberately
@@ -48,13 +49,16 @@ type NodeOutcome struct {
 	Outcome string  `json:"o"` // OutcomePassed, OutcomeFailed or OutcomeMarked
 }
 
-// Frontier is the breadth-first state of the in-progress iteration on the
-// sequential search path, snapshotted at a level boundary: the processed
-// nodes with their outcomes, in processing order. Everything else — queue
-// contents, marks, rollup parents, retained frequency sets — is derived
-// deterministically from them on resume.
+// Frontier is the breadth-first state of the one family in progress when
+// families run one at a time, snapshotted at a level boundary: the
+// family's attribute subset, its processed nodes with their outcomes in
+// processing order, and the work counters its search spent so far.
+// Everything else — queue contents, marks, rollup parents, retained
+// frequency sets — is derived deterministically from them on resume.
 type Frontier struct {
-	Processed []NodeOutcome `json:"processed"`
+	Dims      []int            `json:"dims"`
+	Processed []NodeOutcome    `json:"processed"`
+	Stats     map[string]int64 `json:"stats"`
 }
 
 // Fingerprint pins a snapshot to the exact problem instance that produced
@@ -103,9 +107,10 @@ func (f Fingerprint) Key() string {
 // number of completed subset-size iterations; History[i] holds the
 // survivors of iteration i+1, so resume replays candidate generation —
 // which is deterministic, including node IDs — without touching the table.
-// At most one of Families and Frontier describes partial progress inside
-// iteration Iter+1: Families on the parallel per-family path, Frontier on
-// the sequential whole-graph path.
+// Families and Frontier describe partial progress inside iteration Iter+1:
+// the families completed so far and, at a level boundary, the family in
+// progress. Stats never include that iteration's work; each family
+// carries its own counters.
 type Snapshot struct {
 	Fingerprint Fingerprint      `json:"fingerprint"`
 	Boundary    string           `json:"boundary"` // "iteration", "family" or "level"

@@ -2,6 +2,7 @@ package resilience
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -31,11 +32,15 @@ func sampleSnapshot() *Snapshot {
 			Failed: []NodeKey{{Dims: []int{0, 1}, Levels: []int{0, 0}}},
 			Stats:  map[string]int64{"nodes_checked": 4},
 		}},
-		Frontier: &Frontier{Processed: []NodeOutcome{
-			{Key: NodeKey{Dims: []int{0, 1}, Levels: []int{0, 0}}, Outcome: OutcomeFailed},
-			{Key: NodeKey{Dims: []int{0, 1}, Levels: []int{1, 0}}, Outcome: OutcomePassed},
-			{Key: NodeKey{Dims: []int{0, 1}, Levels: []int{1, 1}}, Outcome: OutcomeMarked},
-		}},
+		Frontier: &Frontier{
+			Dims: []int{0, 2},
+			Processed: []NodeOutcome{
+				{Key: NodeKey{Dims: []int{0, 2}, Levels: []int{0, 0}}, Outcome: OutcomeFailed},
+				{Key: NodeKey{Dims: []int{0, 2}, Levels: []int{1, 0}}, Outcome: OutcomePassed},
+				{Key: NodeKey{Dims: []int{0, 2}, Levels: []int{1, 1}}, Outcome: OutcomeMarked},
+			},
+			Stats: map[string]int64{"nodes_checked": 2, "table_scans": 1},
+		},
 	}
 }
 
@@ -169,7 +174,7 @@ func TestLoadRejectsCorruption(t *testing.T) {
 	})
 
 	t.Run("wrong version", func(t *testing.T) {
-		mutated := strings.Replace(string(raw), `"version":1`, `"version":99`, 1)
+		mutated := strings.Replace(string(raw), fmt.Sprintf(`"version":%d`, SnapshotVersion), `"version":99`, 1)
 		if mutated == string(raw) {
 			t.Fatal("test setup: version mutation did not apply")
 		}
@@ -197,6 +202,34 @@ func TestLoadRejectsCorruption(t *testing.T) {
 			t.Error("Load of missing file succeeded, want error")
 		}
 	})
+}
+
+// TestLoadRefusesPreviousVersion: a well-formed, correctly checksummed
+// envelope from the previous format version is refused, and the error
+// names both versions so an operator sees why a checkpoint was dropped.
+func TestLoadRefusesPreviousVersion(t *testing.T) {
+	payload, err := json.Marshal(sampleSnapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := SnapshotVersion - 1
+	raw, err := json.Marshal(envelope{Version: old, Checksum: checksum(payload), Payload: payload})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "old.ckpt")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Load(path)
+	if err == nil {
+		t.Fatalf("Load accepted a version %d checkpoint", old)
+	}
+	for _, want := range []string{fmt.Sprintf("format version %d", old), fmt.Sprintf("reads %d", SnapshotVersion)} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("Load error %q does not name %q", err, want)
+		}
+	}
 }
 
 func TestFingerprintEqual(t *testing.T) {

@@ -1,18 +1,16 @@
-// Package sched is the repository's work-stealing task scheduler: a
-// bounded worker pool where every worker owns a private deque of task
-// indices, pops from its own bottom (LIFO, cache-warm), and steals from
-// the top of a sibling's deque (FIFO, the oldest and therefore
-// coarsest-grained work) only when its own deque runs dry. Uneven task
-// costs — a family whose breadth-first search fails deep, a cube margin
-// over a much larger parent — no longer serialize a phase on its slowest
-// fixed shard: idle workers rebalance themselves.
+// Package sched is the repository's task scheduler: a bounded worker
+// pool that takes task indices from one shared, mutex-guarded ready list.
+// Uneven task costs — a family whose breadth-first search fails deep, a
+// cube margin over a much larger parent — never serialize a phase on a
+// fixed shard: whichever worker is idle takes the next ready task.
 //
 // Two entry points cover the repository's phase shapes:
 //
-//   - Run executes a flat batch of n independent tasks;
 //   - RunGraph executes n tasks under a dependency DAG (children become
 //     ready when their last dependency finishes), which is how the cube
-//     build overlaps what used to be barrier-separated waves.
+//     build overlaps what used to be barrier-separated waves;
+//   - Run executes a flat batch of n independent tasks: RunGraph with no
+//     edges.
 //
 // The scheduler never owns results and never merges anything: tasks write
 // into caller-provided per-index slots and the caller commits them in
@@ -36,28 +34,19 @@ import (
 )
 
 // Metrics aggregates scheduler activity across every phase of a run:
-// steal counts, task counts, queue-depth high-water mark, and worker
+// task counts, queue-depth high-water mark, and worker
 // busy time against wall time (utilization). All methods are nil-safe
 // and the counters are plain atomics, so hot paths never take a lock.
 type Metrics struct {
-	steals   atomic.Int64
 	tasks    atomic.Int64
 	parallel atomic.Int64 // phases dispatched onto worker goroutines
 	inline   atomic.Int64 // phases run inline on the calling goroutine
-	depth    atomic.Int64 // tasks currently queued across all deques
+	depth    atomic.Int64 // tasks currently in the ready list
 	depthMax atomic.Int64 // high-water mark of depth
 	busyNS   atomic.Int64 // Σ worker nanoseconds spent inside tasks
 	spanNS   atomic.Int64 // Σ workers × phase wall nanoseconds
 	wallNS   atomic.Int64 // Σ phase wall nanoseconds of parallel phases
 	workers  atomic.Int64 // worker count of the most recent parallel phase
-}
-
-// Steals returns how many tasks were taken from a sibling's deque.
-func (m *Metrics) Steals() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.steals.Load()
 }
 
 // Tasks returns how many tasks the scheduler has executed.
@@ -85,8 +74,8 @@ func (m *Metrics) InlinePhases() int64 {
 	return m.inline.Load()
 }
 
-// QueueDepth returns the tasks currently queued across all deques — a
-// live gauge, normally zero between phases.
+// QueueDepth returns the tasks currently in the ready list — a live
+// gauge, normally zero between phases.
 func (m *Metrics) QueueDepth() int64 {
 	if m == nil {
 		return 0
@@ -188,107 +177,44 @@ func (m *Metrics) noteInline(n int) {
 	m.tasks.Add(int64(n))
 }
 
-// deque is one worker's task queue: push and popBottom work the same end
-// (LIFO for the owner), stealTop takes the opposite end (FIFO for
-// thieves). Task granularity in this repository is a family search, a
-// cube margin, or a ≥2048-row scan chunk — microseconds to seconds — so a
-// plain mutex costs noise and keeps the structure trivially correct under
-// the race detector.
-type deque struct {
-	mu  sync.Mutex
-	buf []int
-}
-
-func (d *deque) push(t int) {
-	d.mu.Lock()
-	d.buf = append(d.buf, t)
-	d.mu.Unlock()
-}
-
-func (d *deque) popBottom() (int, bool) {
-	d.mu.Lock()
-	n := len(d.buf)
-	if n == 0 {
-		d.mu.Unlock()
-		return 0, false
-	}
-	t := d.buf[n-1]
-	d.buf = d.buf[:n-1]
-	d.mu.Unlock()
-	return t, true
-}
-
-func (d *deque) stealTop() (int, bool) {
-	d.mu.Lock()
-	if len(d.buf) == 0 {
-		d.mu.Unlock()
-		return 0, false
-	}
-	t := d.buf[0]
-	d.buf = d.buf[1:]
-	d.mu.Unlock()
-	return t, true
-}
-
-// pool is the state of one phase: the deques, the task body, and — for
-// RunGraph — the dependency bookkeeping that feeds newly ready tasks back
-// into the deque of the worker that unlocked them.
+// pool is the state of one phase: the shared ready list, the task body
+// and — for RunGraph — the dependency bookkeeping that appends newly
+// ready tasks to the list. Task granularity in this repository is a
+// family search, a cube margin or a ≥2048-row scan chunk — microseconds
+// to seconds — so one mutex around the list costs noise and keeps the
+// structure trivially correct under the race detector.
 type pool struct {
-	m      *Metrics
-	deques []deque
-	fn     func(worker, task int)
+	m        *Metrics
+	fn       func(worker, task int)
+	children [][]int // nil for flat runs
 
-	remaining atomic.Int64   // tasks not yet finished
-	indeg     []atomic.Int32 // nil for flat runs
-	children  [][]int        // nil for flat runs
-
-	mu   sync.Mutex // guards cond; pushes broadcast under it
-	cond *sync.Cond
-	dyn  bool // tasks appear over time (RunGraph): idle workers sleep, not exit
+	mu        sync.Mutex
+	cond      *sync.Cond
+	ready     []int // tasks whose dependencies have all finished, FIFO
+	indeg     []int // unfinished dependencies per task; nil for flat runs
+	remaining int   // tasks not yet finished
 }
 
 // Run executes fn(worker, task) for every task in [0, n) on up to
-// `workers` goroutines with work stealing. The worker argument is stable
-// per goroutine (callers use it for worker-local accumulation); the task
-// argument covers each index exactly once. workers is clamped to n;
-// workers ≤ 1 or n ≤ 1 runs the plain inline loop in ascending task
-// order on the calling goroutine, spawning nothing and allocating
-// nothing.
+// `workers` goroutines. It is RunGraph with no edges: every task is ready
+// from the start and idle workers take the lowest index left. The worker
+// argument is stable per goroutine (callers use it for worker-local
+// accumulation); the task argument covers each index exactly once.
+// workers is clamped to n; workers ≤ 1 or n ≤ 1 runs the plain inline
+// loop in ascending task order on the calling goroutine, spawning
+// nothing and allocating nothing.
 func Run(m *Metrics, workers, n int, fn func(worker, task int)) {
-	if n <= 0 {
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		m.noteInline(n)
-		for i := 0; i < n; i++ {
-			fn(0, i)
-		}
-		return
-	}
-	p := &pool{m: m, deques: make([]deque, workers), fn: fn}
-	p.remaining.Store(int64(n))
-	// Seed round-robin, each deque pushed in descending order so the
-	// owner's LIFO pop starts at its lowest index while thieves take its
-	// highest — the work farthest from what the owner touches next.
-	for i := n - 1; i >= 0; i-- {
-		p.deques[i%workers].push(i)
-	}
-	m.addDepth(int64(n))
-	p.dispatch(workers)
+	RunGraph(m, workers, n, nil, fn)
 }
 
 // RunGraph executes fn(worker, task) for every task in [0, n) under a
 // dependency DAG: children[t] lists the tasks that may only start after
-// task t finishes. Every task must be reachable from a root (a task no
-// children list names), and task indices must be a topological order —
-// dependencies have lower indices than their dependents — so the inline
-// path can run a plain ascending loop. A finished task's newly ready
-// children are pushed onto the finishing worker's own deque (they read
-// what it just wrote, so they are the cache-warm continuation); idle
-// workers steal them back out when the frontier is narrow.
+// task t finishes (nil children means no edges). Every task must be
+// reachable from a root (a task no children list names), and task
+// indices must be a topological order — dependencies have lower indices
+// than their dependents — so the inline path can run a plain ascending
+// loop. A finished task's newly ready children join the back of the
+// shared ready list, and any idle worker takes the front.
 func RunGraph(m *Metrics, workers, n int, children [][]int, fn func(worker, task int)) {
 	if n <= 0 {
 		return
@@ -303,24 +229,22 @@ func RunGraph(m *Metrics, workers, n int, children [][]int, fn func(worker, task
 		}
 		return
 	}
-	p := &pool{m: m, deques: make([]deque, workers), fn: fn, children: children, dyn: true}
+	p := &pool{m: m, fn: fn, children: children, remaining: n}
 	p.cond = sync.NewCond(&p.mu)
-	p.remaining.Store(int64(n))
-	p.indeg = make([]atomic.Int32, n)
-	for _, cs := range children {
-		for _, c := range cs {
-			p.indeg[c].Add(1)
+	if children != nil {
+		p.indeg = make([]int, n)
+		for _, cs := range children {
+			for _, c := range cs {
+				p.indeg[c]++
+			}
 		}
 	}
-	// Seed the roots round-robin (descending, as in Run).
-	seeded := 0
-	for i := n - 1; i >= 0; i-- {
-		if p.indeg[i].Load() == 0 {
-			p.deques[seeded%workers].push(i)
-			seeded++
+	for i := 0; i < n; i++ {
+		if p.indeg == nil || p.indeg[i] == 0 {
+			p.ready = append(p.ready, i)
 		}
 	}
-	m.addDepth(int64(seeded))
+	m.addDepth(int64(len(p.ready)))
 	p.dispatch(workers)
 }
 
@@ -342,97 +266,52 @@ func (p *pool) dispatch(workers int) {
 	p.m.notePhase(workers, time.Since(start))
 }
 
+// worker takes tasks from the front of the ready list until every task
+// has finished, sleeping while the list is empty but tasks are still
+// running (one of them may release children). A finished task's children
+// are released and sleepers woken under the same lock that guards the
+// list, so no wake-up is ever missed.
 func (p *pool) worker(w int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	for {
-		t, ok := p.deques[w].popBottom()
-		if !ok {
-			t, ok = p.steal(w)
+		for len(p.ready) == 0 && p.remaining > 0 {
+			p.cond.Wait()
 		}
-		if !ok {
-			if !p.dyn {
-				return // flat run: no task will ever appear again
-			}
-			if !p.sleep(w) {
-				return // every task finished
-			}
-			continue
+		if p.remaining == 0 {
+			return
 		}
+		t := p.ready[0]
+		p.ready = p.ready[1:]
 		p.m.addDepth(-1)
+		p.mu.Unlock()
 		p.run(w, t)
+		p.mu.Lock()
+		p.remaining--
+		released := 0
+		if p.indeg != nil {
+			for _, c := range p.children[t] {
+				if p.indeg[c]--; p.indeg[c] == 0 {
+					p.ready = append(p.ready, c)
+					released++
+				}
+			}
+		}
+		p.m.addDepth(int64(released))
+		if released > 0 || p.remaining == 0 {
+			p.cond.Broadcast()
+		}
 	}
 }
 
-// run executes one task and, on the graph path, releases its children
-// and wakes sleepers. The remaining count only reaches zero after the
-// finishing task's children were pushed, so a woken worker that sees
-// zero knows the whole phase is drained.
+// run executes one task, timing it when metrics are on.
 func (p *pool) run(w, t int) {
-	if p.m != nil {
-		begin := time.Now()
+	if p.m == nil {
 		p.fn(w, t)
-		p.m.busyNS.Add(time.Since(begin).Nanoseconds())
-		p.m.tasks.Add(1)
-	} else {
-		p.fn(w, t)
-	}
-	if p.indeg != nil {
-		released := 0
-		for _, c := range p.children[t] {
-			if p.indeg[c].Add(-1) == 0 {
-				p.deques[w].push(c)
-				released++
-			}
-		}
-		if released > 0 {
-			p.m.addDepth(int64(released))
-		}
-		if p.remaining.Add(-1) == 0 || released > 0 {
-			p.mu.Lock()
-			p.cond.Broadcast()
-			p.mu.Unlock()
-		}
 		return
 	}
-	p.remaining.Add(-1)
-}
-
-// steal scans the other deques round-robin from the worker's right-hand
-// neighbor and takes the top (oldest) task of the first non-empty one.
-func (p *pool) steal(w int) (int, bool) {
-	for i := 1; i < len(p.deques); i++ {
-		if t, ok := p.deques[(w+i)%len(p.deques)].stealTop(); ok {
-			if p.m != nil {
-				p.m.steals.Add(1)
-			}
-			return t, true
-		}
-	}
-	return 0, false
-}
-
-// sleep blocks until new work may exist or the phase is drained; it
-// returns false when every task has finished. Pushes broadcast under
-// p.mu after the deque write, and the pre-wait re-scan takes each
-// deque's lock, so a push between this worker's failed steal and its
-// wait is never missed.
-func (p *pool) sleep(w int) bool {
-	p.mu.Lock()
-	for p.remaining.Load() > 0 && !p.anyQueued() {
-		p.cond.Wait()
-	}
-	p.mu.Unlock()
-	return p.remaining.Load() > 0
-}
-
-func (p *pool) anyQueued() bool {
-	for i := range p.deques {
-		d := &p.deques[i]
-		d.mu.Lock()
-		n := len(d.buf)
-		d.mu.Unlock()
-		if n > 0 {
-			return true
-		}
-	}
-	return false
+	begin := time.Now()
+	p.fn(w, t)
+	p.m.busyNS.Add(time.Since(begin).Nanoseconds())
+	p.m.tasks.Add(1)
 }

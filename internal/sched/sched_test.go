@@ -64,7 +64,7 @@ func TestRunGraphRespectsDependencies(t *testing.T) {
 				}
 			}
 			if i%3 == 0 {
-				time.Sleep(time.Millisecond) // uneven costs exercise stealing
+				time.Sleep(time.Millisecond) // uneven costs reorder completions
 			}
 			done[i].Store(true)
 		})
@@ -92,27 +92,30 @@ func TestRunGraphInlineIsTopological(t *testing.T) {
 	}
 }
 
-// TestStealingOccurs: with one worker blocked on a long task, the other
-// workers must steal the blocked worker's remaining seed tasks.
-func TestStealingOccurs(t *testing.T) {
+// TestIdleWorkersDrainAroundBlockedTask: while one task is blocked, the
+// idle workers must take and finish every other task from the shared
+// ready list. The blocked task is only released once all the others have
+// finished, so a scheduler that parked tasks behind it would time out.
+func TestIdleWorkersDrainAroundBlockedTask(t *testing.T) {
 	m := &Metrics{}
 	const workers, n = 4, 64
 	release := make(chan struct{})
-	var once sync.Once
+	var others atomic.Int64
 	Run(m, workers, n, func(_, i int) {
 		if i == 0 {
-			<-release // worker holding task 0 stalls; its deque must drain via steals
+			select {
+			case <-release:
+			case <-time.After(10 * time.Second):
+				t.Errorf("task 0 stayed blocked: only %d of %d other tasks finished", others.Load(), n-1)
+			}
+			return
 		}
-		// The last other task to finish releases the stalled one.
-		defer once.Do(func() {
-			go func() {
-				time.Sleep(10 * time.Millisecond)
-				close(release)
-			}()
-		})
+		if others.Add(1) == n-1 {
+			close(release)
+		}
 	})
-	if m.Steals() == 0 {
-		t.Fatal("no steals recorded with a stalled worker")
+	if got := others.Load(); got != n-1 {
+		t.Fatalf("%d other tasks finished, want %d", got, n-1)
 	}
 	if m.Tasks() != n {
 		t.Fatalf("tasks = %d, want %d", m.Tasks(), n)
@@ -161,7 +164,7 @@ func TestMetricsAccounting(t *testing.T) {
 func TestNilMetricsSafe(t *testing.T) {
 	var m *Metrics
 	Run(m, 4, 16, func(_, i int) {})
-	if m.Steals() != 0 || m.Tasks() != 0 || m.Utilization() != 0 || m.QueueDepthPeak() != 0 {
+	if m.Tasks() != 0 || m.Utilization() != 0 || m.QueueDepthPeak() != 0 {
 		t.Fatal("nil Metrics accessors must return zero")
 	}
 	if m.Busy() != 0 || m.WorkerSpan() != 0 || m.ParallelWall() != 0 ||

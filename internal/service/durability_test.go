@@ -346,6 +346,75 @@ func TestRecoveryResumesFromCheckpoint(t *testing.T) {
 	}
 }
 
+// A job journaled as running whose checkpoint cannot be read — written by
+// an older snapshot format, or damaged — re-runs cold and releases the
+// same CSV bytes as a run that was never interrupted.
+func TestRecoveryRerunsColdOnUnreadableCheckpoint(t *testing.T) {
+	want := libraryReleasedCSV(t)
+	table, err := incognito.ReadCSV(strings.NewReader(patientsCSV))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A real snapshot of this job, cut at its first save.
+	src := filepath.Join(t.TempDir(), "src.ckpt")
+	ck := incognito.NewCheckpointer(src)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ck.AfterSave = func(*resilience.Snapshot) { cancel() }
+	if _, err := incognito.AnonymizeContext(ctx, table, mustQI(t), incognito.Config{K: 2, Checkpoint: ck}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("setup run: err = %v, want context.Canceled at the first save", err)
+	}
+	raw, err := os.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	current := fmt.Sprintf(`"version":%d`, resilience.SnapshotVersion)
+	previous := strings.Replace(string(raw), current, fmt.Sprintf(`"version":%d`, resilience.SnapshotVersion-1), 1)
+	if previous == string(raw) {
+		t.Fatal("test setup: version rewrite did not apply")
+	}
+	for _, tc := range []struct {
+		name string
+		ckpt string
+	}{
+		{"previous format version", previous},
+		{"truncated", string(raw[:len(raw)/2])},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			jdir, cdir := t.TempDir(), t.TempDir()
+			if err := os.WriteFile(filepath.Join(cdir, "job-000001.ckpt"), []byte(tc.ckpt), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			seedJournal(t, jdir,
+				acceptedRecord("job-000001"),
+				journalRecord{Type: "state", Job: "job-000001", State: StateRunning},
+			)
+			s := newTestService(t, Config{Workers: 1, JournalDir: jdir, CheckpointDir: cdir})
+			s.WaitRecovered()
+			j, ok := s.Job("job-000001")
+			if !ok {
+				t.Fatal("interrupted job not re-enqueued")
+			}
+			if j.resume != nil {
+				t.Fatal("recovery resumed from an unreadable checkpoint")
+			}
+			if st := waitTerminal(t, s, "job-000001"); st.State != StateDone {
+				t.Fatalf("cold re-run finished %s (%s)", st.State, st.Error)
+			}
+			j.mu.Lock()
+			raw := j.result
+			j.mu.Unlock()
+			var payload ResultPayload
+			if err := json.Unmarshal(raw, &payload); err != nil {
+				t.Fatalf("cold re-run has no result payload: %v", err)
+			}
+			if payload.ReleasedCSV != want {
+				t.Errorf("cold re-run release differs from an uninterrupted run:\n%s\n--- want ---\n%s", payload.ReleasedCSV, want)
+			}
+		})
+	}
+}
+
 // Startup sweeps the checkpoints crashed runs left behind and the journal
 // does not claim.
 func TestRecoverySweepsOrphans(t *testing.T) {

@@ -39,17 +39,14 @@ func (r *Registry) NewRunMetrics() *RunMetrics {
 // gauges: its values live in the scheduler's atomics, so the hot paths
 // never touch the registry (the GaugeFunc bridge, like live Progress).
 func registerScheduler(r *Registry, m *sched.Metrics) {
-	r.GaugeFunc("incognito_sched_steals_total",
-		"Tasks taken from a sibling worker's deque by the work-stealing scheduler.",
-		func() float64 { return float64(m.Steals()) })
 	r.GaugeFunc("incognito_sched_tasks_total",
-		"Tasks executed by the work-stealing scheduler.",
+		"Tasks executed by the scheduler.",
 		func() float64 { return float64(m.Tasks()) })
 	r.GaugeFunc("incognito_sched_queue_depth",
-		"Tasks currently queued across all worker deques.",
+		"Tasks currently in the scheduler's ready list.",
 		func() float64 { return float64(m.QueueDepth()) })
 	r.GaugeFunc("incognito_sched_queue_depth_peak",
-		"High-water mark of tasks queued across all worker deques.",
+		"High-water mark of tasks in the scheduler's ready list.",
 		func() float64 { return float64(m.QueueDepthPeak()) })
 	r.GaugeFunc("incognito_sched_workers",
 		"Worker count of the most recent parallel phase.",
