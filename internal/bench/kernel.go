@@ -2,8 +2,9 @@ package bench
 
 // This file is the kernel experiment: the dense mixed-radix frequency-set
 // kernel measured against the sparse map reference, end-to-end (whole
-// algorithm runs with the kernel forced each way) and in isolation (scan
-// and rollup microbenchmarks on dense-eligible generalized layouts).
+// algorithm runs with the kernel forced each way) and in isolation (scan,
+// parallel scan and rollup microbenchmarks on dense-eligible generalized
+// layouts).
 // Counters, group counts, and the dense allocs/op pin are deterministic
 // and gated in CI; timings and speedups are informational.
 
@@ -52,7 +53,7 @@ type KernelCell struct {
 // by both kernels on a dense-eligible generalized layout of the dataset's
 // quasi-identifier.
 type KernelMicro struct {
-	Op      string `json:"op"` // "scan" or "rollup"
+	Op      string `json:"op"` // "scan", "parallel_scan" or "rollup"
 	Dataset string `json:"dataset"`
 	Rows    int    `json:"rows"`
 	QISize  int    `json:"qi_size"`
@@ -256,10 +257,11 @@ func allocsPerRun(runs int, fn func()) float64 {
 	return float64(after.Mallocs-before.Mallocs) / float64(runs)
 }
 
-// KernelMicros runs the scan and rollup microbenchmarks on the dataset's
-// quasi-identifier at its canonical dense-eligible generalized layout:
-// the same GroupCount and Recode executed by both kernels, with identical
-// outputs required and the dense per-tuple hot path pinned at 0 allocs/op.
+// KernelMicros runs the scan, parallel scan and rollup microbenchmarks on
+// the dataset's quasi-identifier at its canonical dense-eligible
+// generalized layout: the same GroupCount, GroupCountParallel and Recode
+// executed by both kernels, with identical outputs required and the dense
+// per-tuple hot path pinned at 0 allocs/op.
 func KernelMicros(d *dataset.Dataset, qiSize int, progress Progress) ([]KernelMicro, error) {
 	cols, hs, err := d.QISubset(qiSize)
 	if err != nil {
@@ -311,6 +313,35 @@ func KernelMicros(d *dataset.Dataset, qiSize int, progress Progress) ([]KernelMi
 	}
 	progress.Log("%s | QID=%d | scan at %v | sparse %.3fms, dense %.3fms (%.2fx, identical=%v, allocs/op=%.0f)",
 		d.Name, qiSize, scan.Levels, scan.SparseMS, scan.DenseMS, scan.Speedup, scan.Identical, scan.DenseAddAllocsPerOp)
+
+	// The same scan through the chunked GroupCountParallel at GOMAXPROCS
+	// workers (the report's gomaxprocs) — the call every base-table scan
+	// of a search makes. Tables under two shards fall back to the
+	// sequential scan.
+	workers := runtime.GOMAXPROCS(0)
+	parScan := relation.GroupCountParallel(d.Table, layout.cols, layout.recode, layout.card, workers, nil)
+	par := KernelMicro{
+		Op:            "parallel_scan",
+		Dataset:       d.Name,
+		Rows:          rows,
+		QISize:        qiSize,
+		Levels:        layout.levels,
+		Cells:         layout.cells,
+		DenseEligible: parScan.Dense(),
+		Groups:        parScan.Len(),
+		Identical:     sameFreq(parScan, sparseScan),
+		SparseMS: timeOp(iters, func() {
+			relation.GroupCountParallel(d.Table, layout.cols, layout.recode, nil, workers, nil)
+		}),
+		DenseMS: timeOp(iters, func() {
+			relation.GroupCountParallel(d.Table, layout.cols, layout.recode, layout.card, workers, nil)
+		}),
+	}
+	if par.DenseMS > 0 {
+		par.Speedup = par.SparseMS / par.DenseMS
+	}
+	progress.Log("%s | QID=%d | parallel scan at %v, %d workers | sparse %.3fms, dense %.3fms (%.2fx, identical=%v)",
+		d.Name, qiSize, par.Levels, workers, par.SparseMS, par.DenseMS, par.Speedup, par.Identical)
 
 	// Rollup: dense→dense index-remap pass vs sparse re-grouping, rolling
 	// one level further up every attribute that can go. The source is a
@@ -365,7 +396,7 @@ func KernelMicros(d *dataset.Dataset, qiSize int, progress Progress) ([]KernelMi
 	progress.Log("%s | QID=%d | rollup %v -> %v | sparse %.3fms, dense %.3fms (%.2fx, identical=%v)",
 		d.Name, qiSize, roll.Levels, roll.TargetLevels, roll.SparseMS, roll.DenseMS, roll.Speedup, roll.Identical)
 
-	return []KernelMicro{scan, roll}, nil
+	return []KernelMicro{scan, par, roll}, nil
 }
 
 // WriteJSON renders the report as indented JSON.
@@ -388,7 +419,7 @@ func (r *KernelReport) WriteTable(w io.Writer) error {
 		}
 	}
 	for _, m := range r.Micro {
-		if _, err := fmt.Fprintf(w, "%s QID=%d %-7s at %v cells=%d sparse %.3fms dense %.3fms speedup %.2fx identical=%v allocs/op=%.0f\n",
+		if _, err := fmt.Fprintf(w, "%s QID=%d %-13s at %v cells=%d sparse %.3fms dense %.3fms speedup %.2fx identical=%v allocs/op=%.0f\n",
 			m.Dataset, m.QISize, m.Op, m.Levels, m.Cells, m.SparseMS, m.DenseMS, m.Speedup, m.Identical, m.DenseAddAllocsPerOp); err != nil {
 			return err
 		}

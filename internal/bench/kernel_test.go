@@ -32,16 +32,19 @@ func TestKernelCellsIdentical(t *testing.T) {
 
 // TestKernelMicrosAreDenseEligibleAndIdentical checks the microbenchmark
 // layout picker lands on a dense-eligible generalization and that both
-// kernels agree on the scan and the rollup, with the dense per-tuple hot
-// path allocation-free.
+// kernels agree on the scan, the parallel scan and the rollup, with the
+// dense per-tuple hot path allocation-free.
 func TestKernelMicrosAreDenseEligibleAndIdentical(t *testing.T) {
 	d := small()
 	micros, err := KernelMicros(d, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(micros) != 2 {
-		t.Fatalf("got %d micro rows, want 2 (scan, rollup)", len(micros))
+	if len(micros) != 3 {
+		t.Fatalf("got %d micro rows, want 3 (scan, parallel_scan, rollup)", len(micros))
+	}
+	if micros[1].Op != "parallel_scan" || micros[1].Groups != micros[0].Groups {
+		t.Errorf("parallel scan row %+v does not match the sequential scan row %+v", micros[1], micros[0])
 	}
 	for _, m := range micros {
 		if !m.DenseEligible {

@@ -429,7 +429,20 @@ type deltaState struct {
 	rowsRescanned atomic.Int64
 	screened      atomic.Int64
 	revalidated   atomic.Int64
+	// Wall time spent in screen and in forcing deferred parent sets, summed
+	// over workers; runSearch records both on its search span.
+	screenNS atomic.Int64
+	forceNS  atomic.Int64
 }
+
+// Trace counters a delta run records on its search span: nanoseconds
+// spent in the record screen and in forced revalidation (force), summed
+// over workers. Timed per node, recorded once per search, so a delta
+// run's trace does not grow with the lattice.
+const (
+	CounterDeltaScreenNS = "delta_screen_ns"
+	CounterDeltaForceNS  = "delta_force_ns"
+)
 
 // prepare validates the state against the input and builds the runtime:
 // the record index, the patched base-level set rebound to the edited

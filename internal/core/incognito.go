@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"time"
 
 	"incognito/internal/lattice"
 	"incognito/internal/relation"
@@ -203,6 +204,12 @@ func runSearch(in *Input, maker rootFreqMaker, label string) (*Result, error) {
 	sp.SetAttr("algorithm", label)
 	in.Progress.SetPhase(label)
 	defer sp.End()
+	if in.Delta != nil {
+		defer func() {
+			sp.Add(CounterDeltaScreenNS, in.Delta.st.screenNS.Load())
+			sp.Add(CounterDeltaForceNS, in.Delta.st.forceNS.Load())
+		}()
+	}
 	var stats Stats
 	n := len(in.QI)
 	ids := lattice.NewIDGen()
@@ -514,7 +521,9 @@ func searchFamily(in *Input, g *lattice.Graph, nodes []*lattice.Node, maker root
 		var f *relation.FreqSet
 		var pass, screened bool
 		if in.Delta != nil {
+			start := time.Now()
 			pass, screened = in.Delta.st.screen(in, node)
+			in.Delta.st.screenNS.Add(int64(time.Since(start)))
 		}
 		if screened {
 			if _, ok := parentOf[node.ID]; ok {
@@ -528,7 +537,9 @@ func searchFamily(in *Input, g *lattice.Graph, nodes []*lattice.Node, maker root
 			if pf == nil && in.Delta != nil {
 				// The parent failed by screen alone; materialize its set now
 				// that a child genuinely needs it.
+				start := time.Now()
 				pf = in.Delta.st.force(in, g, parentOf, freqs, parent)
+				in.Delta.st.forceNS.Add(int64(time.Since(start)))
 			}
 			f = in.RollupTo(pf, node.Dims, parent.Levels, node.Levels)
 			stats.Rollups++

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -82,7 +83,9 @@ func TestTracingDoesNotPerturbResults(t *testing.T) {
 
 // TestTraceCountersSumToStats is the tentpole's accounting contract: every
 // unit of work is recorded on exactly one span, so summing any counter over
-// the exported span tree reproduces the matching core.Stats total.
+// the exported span tree reproduces the matching core.Stats total — for
+// cold runs and for delta runs, whose screen and force times are counters
+// on the search span only.
 func TestTraceCountersSumToStats(t *testing.T) {
 	for di, ref := range determinismInputs(t) {
 		for _, p := range parallelismLevels() {
@@ -101,8 +104,72 @@ func TestTraceCountersSumToStats(t *testing.T) {
 							di, p, v, name, got, want)
 					}
 				}
+				for _, name := range []string{CounterDeltaScreenNS, CounterDeltaForceNS} {
+					if got := doc.SumCounter(name); got != 0 {
+						t.Errorf("input=%d parallelism=%d %v: cold run recorded %q = %d", di, p, v, name, got)
+					}
+				}
 			}
 		}
+	}
+
+	// Delta runs: the same sums hold, and the screen and forced
+	// revalidation times sit on the search span alone, as two counters.
+	rng := rand.New(rand.NewSource(17))
+	var screenedRuns, forcedRuns int
+	for trial := 0; trial < 6; trial++ {
+		fx := newDeltaFixture(rng, 2+rng.Intn(2), int64(2+rng.Intn(3)), int64(rng.Intn(2)))
+		baseRows := fx.randomRows(rng, 25+rng.Intn(40))
+		removeFrac := 0.08
+		if trial%2 == 1 {
+			removeFrac = 0.5 // flips verdicts, so screened-failed parents get forced
+		}
+		editedRows, removedRows, addedRows := fx.splitDelta(rng, baseRows, removeFrac, rng.Intn(5))
+		coldIn := fx.bind(t, fx.table(t, baseRows))
+		coldIn.Capture = &StateCapture{}
+		if _, err := Run(coldIn, Basic); err != nil {
+			t.Fatal(err)
+		}
+		state := runState(&coldIn, coldIn.Capture)
+		for _, p := range parallelismLevels() {
+			in := fx.bind(t, fx.table(t, editedRows))
+			in.Parallelism = p
+			in.Delta = &DeltaRun{State: state, Added: fx.deltaRows(t, addedRows), Removed: fx.deltaRows(t, removedRows)}
+			in.Trace = trace.New()
+			res, err := Run(in, Basic)
+			if err != nil {
+				t.Fatal(err)
+			}
+			doc := in.Trace.Export()
+			for name, want := range statsCounters(res.Stats) {
+				if got := doc.SumCounter(name); got != want {
+					t.Errorf("delta trial %d parallelism=%d: trace sum of %q = %d, stats say %d", trial, p, name, got, want)
+				}
+			}
+			search := doc.Find("search")
+			if len(search) != 1 {
+				t.Fatalf("delta trial %d: %d search spans, want 1", trial, len(search))
+			}
+			for _, name := range []string{CounterDeltaScreenNS, CounterDeltaForceNS} {
+				if own, sum := search[0].Counters[name], doc.SumCounter(name); own != sum {
+					t.Errorf("delta trial %d parallelism=%d: %q is %d on search but %d over the trace", trial, p, name, own, sum)
+				}
+			}
+			// Every checked node goes through the screen first.
+			if screen := search[0].Counters[CounterDeltaScreenNS]; (screen > 0) != (res.Stats.NodesChecked > 0) {
+				t.Errorf("delta trial %d parallelism=%d: %s = %d with %d nodes checked",
+					trial, p, CounterDeltaScreenNS, screen, res.Stats.NodesChecked)
+			} else if screen > 0 {
+				screenedRuns++
+			}
+			if search[0].Counters[CounterDeltaForceNS] > 0 {
+				forcedRuns++
+			}
+		}
+	}
+	t.Logf("delta runs: %d timed screens, %d timed forced revalidations", screenedRuns, forcedRuns)
+	if screenedRuns == 0 || forcedRuns == 0 {
+		t.Fatalf("delta runs timed %d screens and %d forced revalidations; the fixtures should exercise both", screenedRuns, forcedRuns)
 	}
 }
 

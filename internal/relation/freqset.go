@@ -648,34 +648,53 @@ func GroupCountRange(t *Table, cols []int, recode [][]int32, card []int, lo, hi 
 	// shard's, so every shard of a parallel scan picks the same layout and
 	// the merge stays a vector add.
 	f := newFreqSetSized(cols, card, t.NumRows())
-	f.countRange(t, cols, recode, lo, hi)
+	f.countRange(t, cols, recode, scanLUT(t, cols, recode, f), lo, hi)
 	return f
 }
 
+// scanBlock is how many rows the dense scan counts per pass: their
+// composite codes sit in a stack buffer while each column's lookups are
+// added in one tight loop over that column's code slice.
+const scanBlock = 256
+
 // countRange folds the rows [lo, hi) of t into f — the body of
 // GroupCountRange, split out so a scan worker can accumulate several
-// chunks into one worker-local set without a merge per chunk.
-func (f *FreqSet) countRange(t *Table, cols []int, recode [][]int32, lo, hi int) {
-	columns := make([][]int32, len(cols))
-	for i, c := range cols {
-		columns[i] = t.Codes(c)
-	}
+// chunks into one worker-local set without a merge per chunk. lut is the
+// scan's fused table (scanLUT), built once per scan and only read here; a
+// dense f with a nil lut spills to sparse first.
+func (f *FreqSet) countRange(t *Table, cols []int, recode [][]int32, lut [][]int64, lo, hi int) {
 	if f.dense != nil {
-		if lut, ok := scanLUT(t, cols, recode, f); ok {
+		if lut != nil {
 			faultinject.Point("relation.dense_scan")
-			for r := lo; r < hi; r++ {
-				idx := int64(0)
-				for i := range lut {
-					idx += lut[i][columns[i][r]]
+			var buf [scanBlock]int64
+			dense, nonzero := f.dense, f.nonzero
+			for b := lo; b < hi; b += scanBlock {
+				idx := buf[:min(scanBlock, hi-b)]
+				first := lut[0]
+				for j, c := range t.Codes(cols[0])[b : b+len(idx)] {
+					idx[j] = first[c]
 				}
-				if f.dense[idx] == 0 {
-					f.nonzero++
+				for i := 1; i < len(lut); i++ {
+					col := lut[i]
+					for j, c := range t.Codes(cols[i])[b : b+len(idx)] {
+						idx[j] += col[c]
+					}
 				}
-				f.dense[idx]++
+				for _, x := range idx {
+					if dense[x] == 0 {
+						nonzero++
+					}
+					dense[x]++
+				}
 			}
+			f.nonzero = nonzero
 			return
 		}
 		f.spill()
+	}
+	columns := make([][]int32, len(cols))
+	for i, c := range cols {
+		columns[i] = t.Codes(c)
 	}
 	codes := make([]int32, len(cols))
 	buf := make([]byte, 4*len(cols))
@@ -691,12 +710,15 @@ func (f *FreqSet) countRange(t *Table, cols []int, recode [][]int32, lo, hi int)
 	}
 }
 
-// scanLUT builds the fused per-column scan tables for a dense group count:
-// lut[i][baseCode] is the stride-scaled generalized code, so a tuple's
-// composite code is the plain sum of its per-column lookups. ok=false if
-// any reachable code would fall outside the declared cardinalities (the
-// caller then falls back to the sparse scan).
-func scanLUT(t *Table, cols []int, recode [][]int32, f *FreqSet) ([][]int64, bool) {
+// scanLUT builds the fused per-column scan table for a dense group count
+// into f's layout: lut[i][baseCode] is the stride-scaled generalized code,
+// so a tuple's composite code is the plain sum of its per-column lookups.
+// nil if f is sparse or any reachable code would fall outside the declared
+// cardinalities (the scan then falls back to sparse).
+func scanLUT(t *Table, cols []int, recode [][]int32, f *FreqSet) [][]int64 {
+	if f.dense == nil {
+		return nil
+	}
 	lut := make([][]int64, len(cols))
 	for i, c := range cols {
 		d := t.Dict(c).Len()
@@ -705,18 +727,18 @@ func scanLUT(t *Table, cols []int, recode [][]int32, f *FreqSet) ([][]int64, boo
 			g := int32(b)
 			if recode != nil && recode[i] != nil {
 				if b >= len(recode[i]) {
-					return nil, false
+					return nil
 				}
 				g = recode[i][b]
 			}
 			if g < 0 || g >= f.card[i] {
-				return nil, false
+				return nil
 			}
 			col[b] = int64(g) * f.stride[i]
 		}
 		lut[i] = col
 	}
-	return lut, true
+	return lut
 }
 
 // minShardRows is the smallest row range worth handing to a scan worker;
@@ -753,7 +775,12 @@ func GroupCountParallel(t *Table, cols []int, recode [][]int32, card []int, work
 	if max := n / minShardRows; chunks > max {
 		chunks = max
 	}
+	// Every partial shares the layout chosen from the whole table's rows,
+	// so one fused table serves all chunks and the final merge is a vector
+	// add. The first partial is made up front to build that table from.
 	parts := make([]*FreqSet, workers)
+	parts[0] = newFreqSetSized(cols, card, n)
+	lut := scanLUT(t, cols, recode, parts[0])
 	// Worker panic isolation: each chunk recovers its own panic into a
 	// *resilience.PanicError naming the chunk; the coordinator rethrows the
 	// lowest-indexed one after every chunk finished, so the enclosing phase
@@ -769,11 +796,9 @@ func GroupCountParallel(t *Table, cols []int, recode [][]int32, card []int, work
 		faultinject.Point("relation.scan_shard")
 		lo, hi := c*n/chunks, (c+1)*n/chunks
 		if parts[w] == nil {
-			// Layout chosen from the whole table's rows, like every chunk:
-			// all partials agree, so the final merge is a vector add.
-			parts[w] = newFreqSetSized(cols, card, t.NumRows())
+			parts[w] = newFreqSetSized(cols, card, n)
 		}
-		parts[w].countRange(t, cols, recode, lo, hi)
+		parts[w].countRange(t, cols, recode, lut, lo, hi)
 	})
 	for _, pe := range panics {
 		if pe != nil {

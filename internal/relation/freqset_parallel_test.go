@@ -1,8 +1,10 @@
 package relation
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -26,22 +28,108 @@ func randomTable(tb testing.TB, rows int, seed int64) *Table {
 
 // TestGroupCountParallelMatchesSequential checks the tentpole invariant of
 // the sharded scan: identical groups and counts at every worker count,
-// with and without recoding.
+// with and without recoding, against the sparse reference scan. The cases
+// sit on the dense kernel's boundaries: row counts around one scanBlock,
+// several shards with a ragged tail, a single column, and a recode with
+// one code outside the declared cardinality, which sends every partial
+// through spill to the sparse path.
 func TestGroupCountParallelMatchesSequential(t *testing.T) {
-	tab := randomTable(t, 5*minShardRows+137, 3)
-	gamma := make([]int32, tab.Dict(0).Len())
+	big := randomTable(t, 5*minShardRows+137, 3)
+	gamma := make([]int32, big.Dict(0).Len())
 	for i := range gamma {
 		gamma[i] = int32(i % 2)
 	}
-	for _, recode := range [][][]int32{nil, {gamma, nil, nil}} {
-		want := freqAsMap(GroupCount(tab, []int{0, 1, 2}, recode))
-		for _, workers := range []int{0, 1, 2, 3, 4, 7, 64} {
-			got := freqAsMap(GroupCountParallel(tab, []int{0, 1, 2}, recode, InferCard(tab, []int{0, 1, 2}, recode), workers, nil))
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("workers=%d recode=%v: parallel GroupCount diverged from sequential", workers, recode != nil)
+	outOfRange := append([]int32(nil), gamma...)
+	outOfRange[len(outOfRange)-1] = 2 // card below says column 0 has 2 codes
+	type scanCase struct {
+		name   string
+		tab    *Table
+		cols   []int
+		recode [][]int32
+		card   []int // nil: InferCard
+		spills bool  // the scan must end sparse
+	}
+	var cases []scanCase
+	for _, rows := range []int{1, scanBlock - 1, scanBlock, scanBlock + 1} {
+		tab := randomTable(t, rows, int64(rows))
+		cases = append(cases, scanCase{name: fmt.Sprintf("rows=%d", rows), tab: tab, cols: []int{0, 1, 2}})
+	}
+	cases = append(cases,
+		scanCase{name: "shards+tail", tab: big, cols: []int{0, 1, 2}},
+		scanCase{name: "shards+tail recoded", tab: big, cols: []int{0, 1, 2}, recode: [][]int32{gamma, nil, nil}},
+		scanCase{name: "one column", tab: big, cols: []int{0}},
+		scanCase{name: "one column recoded", tab: big, cols: []int{0}, recode: [][]int32{gamma}},
+		scanCase{name: "out-of-range recode", tab: big, cols: []int{0, 1, 2}, recode: [][]int32{outOfRange, nil, nil},
+			card: []int{2, big.Dict(1).Len(), big.Dict(2).Len()}, spills: true})
+
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			card := c.card
+			if card == nil {
+				card = InferCard(c.tab, c.cols, c.recode)
 			}
+			sparse := GroupCountWithCard(c.tab, c.cols, c.recode, nil)
+			for _, workers := range []int{0, 1, 2, 3, 4, 7, 64} {
+				got := GroupCountParallel(c.tab, c.cols, c.recode, card, workers, nil)
+				if got.Dense() == c.spills {
+					t.Fatalf("workers=%d: Dense() = %v, want %v", workers, got.Dense(), !c.spills)
+				}
+				requireSameFreqSet(t, got, sparse)
+			}
+		})
+	}
+}
+
+// TestGroupCountParallelBuildsOneScanTable is the allocation gate on the
+// chunked scan: the fused per-column table is built once per scan and
+// shared by every chunk, not rebuilt per chunk. Column 0 has a
+// 30,000-entry dictionary, so its table (240 KB) dwarfs the dense
+// partials; at 4 workers the scan runs 16 chunks, and everything it
+// allocates beyond the partials must stay under two scan tables.
+func TestGroupCountParallelBuildsOneScanTable(t *testing.T) {
+	const dictSize = 30_000
+	rng := rand.New(rand.NewSource(17))
+	tab := MustNewTable("wide", "narrow")
+	for v := 0; v < dictSize; v++ {
+		tab.Dict(0).Encode(fmt.Sprint(v))
+	}
+	for v := 0; v < 5; v++ {
+		tab.Dict(1).Encode(fmt.Sprint(v))
+	}
+	for r := 0; r < 16*minShardRows; r++ {
+		if err := tab.AppendCoded([]int32{int32(rng.Intn(dictSize)), int32(rng.Intn(5))}); err != nil {
+			t.Fatal(err)
 		}
 	}
+	gamma := make([]int32, dictSize)
+	for i := range gamma {
+		gamma[i] = int32(i % 8)
+	}
+	cols, recode := []int{0, 1}, [][]int32{gamma, nil}
+	card := InferCard(tab, cols, recode)
+	const workers = 4
+	if got := GroupCountParallel(tab, cols, recode, card, workers, nil); !got.Dense() {
+		t.Fatal("scan should be dense")
+	}
+	tableBytes := uint64(8 * (dictSize + 5))
+	partialBytes := uint64(workers * 8 * card[0] * card[1])
+	// The fewest bytes over a few runs: a stray runtime allocation may
+	// land inside one window, not inside all of them.
+	var least uint64
+	for run := 0; run < 5; run++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		GroupCountParallel(tab, cols, recode, card, workers, nil)
+		runtime.ReadMemStats(&after)
+		if b := after.TotalAlloc - before.TotalAlloc; run == 0 || b < least {
+			least = b
+		}
+	}
+	if least >= partialBytes+2*tableBytes {
+		t.Fatalf("one scan allocated %d bytes; dense partials are %d and one scan table %d, so the table is built more than once",
+			least, partialBytes, tableBytes)
+	}
+	t.Logf("one scan allocated %d bytes (dense partials %d, scan table %d)", least, partialBytes, tableBytes)
 }
 
 // TestGroupCountParallelSmallTable checks the small-table fallback: tables

@@ -12,8 +12,9 @@ import (
 // pseudo-random rollup chain derived from the fuzz input, the dense
 // mixed-radix kernel and the sparse map kernel must produce identical
 // groups, counts, and EachSorted orders at every step — for the base scan,
-// for every chained Recode, for DropColumn margins, and against a direct
-// rescan of the table (the rollup property, across representations).
+// for every chained Recode, for DropColumn margins, against a direct
+// rescan of the table (the rollup property, across representations), and
+// for the chunked parallel scan of the table tiled past several shards.
 func FuzzKernelEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(2), uint8(60))
 	f.Add(int64(42), uint8(3), uint8(200))
@@ -119,6 +120,33 @@ func FuzzKernelEquivalence(f *testing.F) {
 			direct := GroupCountWithCard(tab, cols, mapsBetween(zero, next), nil)
 			requireSameFreqSet(t, dense, direct)
 			levels = next
+		}
+
+		// Chunked scan: the table tiled past several shards, counted by the
+		// dense GroupCountParallel at the base and at the chain's final
+		// levels, must match the sparse scan of the same tiled table.
+		if rows > 0 {
+			tiled := MustNewTable(names...)
+			for i := 0; i < ncols; i++ {
+				for v := 0; v < sizes[i][0]; v++ {
+					tiled.Dict(i).Encode(string(rune('a' + v)))
+				}
+			}
+			for r := 0; tiled.NumRows() < 3*minShardRows; r = (r + 1) % rows {
+				for i := range codes {
+					codes[i] = tab.Code(r, i)
+				}
+				if err := tiled.AppendCoded(codes); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, at := range [][]int{zero, levels} {
+				recode := mapsBetween(zero, at)
+				want := GroupCountWithCard(tiled, cols, recode, nil)
+				for _, workers := range []int{2, 3} {
+					requireSameFreqSet(t, GroupCountParallel(tiled, cols, recode, cardAt(at), workers, nil), want)
+				}
+			}
 		}
 
 		// Margins: dropping any column must agree across representations.
