@@ -52,10 +52,10 @@ func NewProgress() *Progress { return telemetry.NewProgress() }
 type RunMetrics = telemetry.RunMetrics
 
 // PanicError is a worker panic converted into an ordinary error: a panic on
-// any goroutine of a parallel phase (family searches, scan shards, cube and
-// materialization waves) drains its siblings and surfaces as a *PanicError
-// whose Site names the span path of the panicking worker, with the original
-// panic value and stack attached.
+// any goroutine of a parallel phase (family searches, scan shards, cube
+// waves) drains its siblings and surfaces as a *PanicError whose Site names
+// the span path of the panicking worker, with the original panic value and
+// stack attached.
 type PanicError = resilience.PanicError
 
 // Checkpointer writes versioned, checksummed search-frontier snapshots with
@@ -69,8 +69,8 @@ type Snapshot = resilience.Snapshot
 
 // MemoryAccountant tracks the run's long-lived frequency-set bytes against
 // a soft budget and drives the degradation ladder (see Config.
-// MemoryBudgetBytes). Its counters — DenseFallbacks, Sheds, Aborted — are
-// the degradation telemetry CLIs export.
+// MemoryBudgetBytes). Its counters — DenseFallbacks and Aborted — are the
+// degradation telemetry CLIs export.
 type MemoryAccountant = resilience.Accountant
 
 // ErrDegraded is returned (wrapped) by a run that hit the memory budget's
@@ -165,12 +165,6 @@ const (
 	// generalization height. Returns a single height-minimal solution, NOT
 	// the complete set.
 	BinarySearch
-	// MaterializedIncognito implements the paper's §7 future-work proposal:
-	// strategic partial-cube materialization under a memory budget
-	// (Config.MaterializeBudget, in frequency-set groups), selected with
-	// Harinarayan-style greedy view selection. Budget 0 behaves like
-	// BasicIncognito; a huge budget behaves like CubeIncognito. Complete.
-	MaterializedIncognito
 )
 
 // String names the algorithm as the paper's figures do.
@@ -188,8 +182,6 @@ func (a Algorithm) String() string {
 		return "Bottom-Up (w/ rollup)"
 	case BinarySearch:
 		return "Binary Search"
-	case MaterializedIncognito:
-		return "Materialized Incognito"
 	}
 	return "unknown"
 }
@@ -204,9 +196,6 @@ type Config struct {
 	MaxSuppressed int
 	// Algorithm defaults to BasicIncognito.
 	Algorithm Algorithm
-	// MaterializeBudget is the partial-cube size budget (in frequency-set
-	// groups) used by MaterializedIncognito and ignored otherwise.
-	MaterializeBudget int
 	// Parallelism bounds intra-run concurrency: 0 (the default) uses every
 	// core (GOMAXPROCS), 1 runs strictly sequentially, and n > 1 uses at
 	// most n workers. Base-table scans are sharded into row ranges and the
@@ -252,10 +241,10 @@ type Config struct {
 	Resume *Snapshot
 	// MemoryBudgetBytes, when positive, is a soft limit on the estimated
 	// bytes held in long-lived frequency sets. Over the soft budget the run
-	// degrades instead of growing: dense kernels fall back to sparse and
-	// materialization waves are shed. Past twice the budget the run stops
-	// and returns the solutions proven so far with an error wrapping
-	// ErrDegraded. 0 (the default) disables budgeting.
+	// degrades instead of growing: dense kernels fall back to sparse. Past
+	// twice the budget the run stops and returns the solutions proven so
+	// far with an error wrapping ErrDegraded. 0 (the default) disables
+	// budgeting.
 	MemoryBudgetBytes int64
 	// Budget optionally supplies the accountant directly (e.g. one shared
 	// with a telemetry registry). When set it wins over MemoryBudgetBytes.
@@ -423,22 +412,6 @@ func AnonymizeContext(ctx context.Context, t *Table, qi []QI, cfg Config) (*Resu
 		}
 		res.stats = wrapStats(r.Stats)
 		res.complete = false
-	case MaterializedIncognito:
-		mat, err := buildMaterialized(&in, int64(cfg.MaterializeBudget))
-		if err != nil {
-			return nil, err
-		}
-		r, err := core.RunMaterialized(in, mat)
-		if err != nil {
-			if r != nil {
-				r.Stats.Add(mat.BuildStats)
-			}
-			return degraded(r, err)
-		}
-		res.solutions = r.Solutions
-		st := r.Stats
-		st.Add(mat.BuildStats)
-		res.stats = wrapStats(st)
 	default:
 		return nil, fmt.Errorf("incognito: unknown algorithm %d", cfg.Algorithm)
 	}
@@ -470,18 +443,6 @@ func bindQI(t *Table, qi []QI) ([]core.QIAttr, []string, error) {
 		names[i] = q.Column
 	}
 	return attrs, names, nil
-}
-
-// buildMaterialized runs the view-selection phase under a recover guard:
-// a panic on a materialization-wave worker surfaces from MaterializeBudget
-// as a typed re-panic, converted here to a *PanicError.
-func buildMaterialized(in *core.Input, budget int64) (mat *core.MaterializedSet, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			mat, err = nil, resilience.AsPanicError("run", r)
-		}
-	}()
-	return core.MaterializeBudget(in, budget), nil
 }
 
 func wrapStats(s core.Stats) Stats {

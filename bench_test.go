@@ -307,36 +307,6 @@ func BenchmarkModels(b *testing.B) {
 	})
 }
 
-// BenchmarkMaterializeBudget is the ablation for the §7 future-work
-// extension (strategic partial-cube materialization): runtime and scan
-// counts across the budget spectrum from Basic-like (budget 0) to
-// Cube-like (unbounded), at fixed workload. scans/op should fall
-// monotonically as the budget grows.
-func BenchmarkMaterializeBudget(b *testing.B) {
-	d := adults()
-	cols, hs, err := d.QISubset(6)
-	if err != nil {
-		b.Fatal(err)
-	}
-	in := core.NewInput(d.Table, cols, hs, 2, 0)
-	for _, budget := range []int64{0, 1 << 10, 1 << 14, 1 << 18, 1 << 40} {
-		b.Run(fmt.Sprintf("budget=%d", budget), func(b *testing.B) {
-			var scans, views int
-			for i := 0; i < b.N; i++ {
-				mat := core.MaterializeBudget(&in, budget)
-				res, err := core.RunMaterialized(in, mat)
-				if err != nil {
-					b.Fatal(err)
-				}
-				scans = res.Stats.TableScans + mat.BuildStats.TableScans
-				views = mat.NumViews()
-			}
-			b.ReportMetric(float64(scans), "scans/op")
-			b.ReportMetric(float64(views), "views")
-		})
-	}
-}
-
 // parallelLevels enumerates the worker bounds the BenchmarkParallel*
 // suites compare: the sequential reference, then every power of two up to
 // GOMAXPROCS. On a single-core machine only the serial/1-worker pair runs.

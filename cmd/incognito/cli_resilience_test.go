@@ -72,10 +72,14 @@ func TestCLIMemBudgetHardStopExitsThree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"incognito_mem_budget_bytes 1", "incognito_degradation_events"} {
+	for _, want := range []string{"incognito_mem_budget_bytes 1", `incognito_degradation_events{action="abort"} 1`} {
 		if !strings.Contains(string(prom), want) {
 			t.Errorf("metrics snapshot missing %q:\n%s", want, prom)
 		}
+	}
+	// The ladder is dense fallback, then abort; it has no shed step.
+	if strings.Contains(string(prom), "materialization_shed") {
+		t.Errorf("metrics snapshot still carries the materialization_shed series:\n%s", prom)
 	}
 }
 

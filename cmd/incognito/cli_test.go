@@ -77,7 +77,9 @@ func TestCLIUsageErrorsExitTwo(t *testing.T) {
 		{"-demo", "-parallelism", "-1"},
 		{"-demo", "-partitions", "2"}, // multi-process partitioning was removed
 		{"-demo", "-suppress", "-1"},
-		{"-demo", "-budget", "0"},
+		{"-demo", "-budget", "5"},               // strategic materialization was removed
+		{"-demo", "-algorithm", "materialized"}, // likewise
+		{"-demo", "-algorithm", "quantum"},
 		{"-demo", "-kernel", "dense"}, // only auto|sparse name the kernels
 		{},                            // no -input/-qi and no -demo
 		{"-input", "only-input.csv"},  // missing -qi

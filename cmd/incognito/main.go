@@ -58,7 +58,7 @@ type options struct {
 	k, suppress            int
 	algoName               string
 	kernel                 string
-	budget, parallel       int
+	parallel               int
 	criteria               string
 	list, demo, stats      bool
 	dotFile                string
@@ -83,8 +83,7 @@ func main() {
 	flag.StringVar(&o.qiSpec, "qi", "", "quasi-identifier spec: 'Col=hier;Col=hier;…'")
 	flag.IntVar(&o.k, "k", 2, "anonymity parameter")
 	flag.IntVar(&o.suppress, "suppress", 0, "tuple-suppression threshold")
-	flag.StringVar(&o.algoName, "algorithm", "basic", "basic, superroots, cube, materialized, bottomup, bottomup-rollup, or binary")
-	flag.IntVar(&o.budget, "budget", 1<<20, "partial-cube size budget in groups (materialized algorithm only)")
+	flag.StringVar(&o.algoName, "algorithm", "basic", "basic, superroots, cube, bottomup, bottomup-rollup, or binary")
 	flag.IntVar(&o.parallel, "parallelism", 0, "intra-run worker bound: 0 = all cores, 1 = sequential, n = at most n workers")
 	flag.StringVar(&o.kernel, "kernel", "auto", "frequency-set kernel: auto (adaptive dense/sparse) or sparse (reference maps); results are identical either way")
 	flag.StringVar(&o.criteria, "criterion", "height", "minimality criterion: height, precision, discernibility, or avgclass")
@@ -144,8 +143,8 @@ func (o *options) validate() error {
 	if o.parallel < 0 {
 		return fmt.Errorf("-parallelism must be >= 0 (0 = all cores), got %d", o.parallel)
 	}
-	if o.budget < 1 {
-		return fmt.Errorf("-budget must be >= 1, got %d", o.budget)
+	if _, err := parseAlgorithm(o.algoName); err != nil {
+		return err
 	}
 	if o.kernel != "auto" && o.kernel != "sparse" {
 		return fmt.Errorf("-kernel must be auto or sparse, got %q", o.kernel)
@@ -161,9 +160,9 @@ func (o *options) validate() error {
 	}
 	if o.checkpoint != "" || o.resume != "" {
 		switch o.algoName {
-		case "basic", "superroots", "cube", "materialized":
+		case "basic", "superroots", "cube":
 		default:
-			return fmt.Errorf("-checkpoint/-resume require an Incognito variant (basic, superroots, cube, or materialized), not %q", o.algoName)
+			return fmt.Errorf("-checkpoint/-resume require an Incognito variant (basic, superroots, or cube), not %q", o.algoName)
 		}
 	}
 	if (o.deltaAdd != "" || o.deltaDel != "") && o.stateIn == "" {
@@ -366,18 +365,17 @@ func anonymizeFile(ctx context.Context, o *options, ins instruments) error {
 	}
 
 	cfg := incognito.Config{
-		K:                 o.k,
-		MaxSuppressed:     o.suppress,
-		Algorithm:         algo,
-		MaterializeBudget: o.budget,
-		Parallelism:       o.parallel,
-		SparseKernel:      o.kernel == "sparse",
-		Tracer:            ins.tracer,
-		Progress:          ins.progress,
-		Metrics:           ins.metrics,
-		Checkpoint:        ins.check,
-		Resume:            ins.resume,
-		Budget:            ins.budget,
+		K:             o.k,
+		MaxSuppressed: o.suppress,
+		Algorithm:     algo,
+		Parallelism:   o.parallel,
+		SparseKernel:  o.kernel == "sparse",
+		Tracer:        ins.tracer,
+		Progress:      ins.progress,
+		Metrics:       ins.metrics,
+		Checkpoint:    ins.check,
+		Resume:        ins.resume,
+		Budget:        ins.budget,
 	}
 	var res *incognito.Result
 	if o.stateIn != "" {

@@ -71,12 +71,11 @@ func TestConcurrentParallelRuns(t *testing.T) {
 		incognito.BasicIncognito,
 		incognito.SuperRootsIncognito,
 		incognito.CubeIncognito,
-		incognito.MaterializedIncognito,
 	}
 	want := make(map[incognito.Algorithm]*incognito.Result)
 	for _, algo := range algos {
 		res, err := incognito.Anonymize(tab, patientsQI(), incognito.Config{
-			K: 2, Algorithm: algo, MaterializeBudget: 1 << 12, Parallelism: 1,
+			K: 2, Algorithm: algo, Parallelism: 1,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -92,7 +91,7 @@ func TestConcurrentParallelRuns(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			res, err := incognito.Anonymize(tab, patientsQI(), incognito.Config{
-				K: 2, Algorithm: algo, MaterializeBudget: 1 << 12, Parallelism: parallelism,
+				K: 2, Algorithm: algo, Parallelism: parallelism,
 			})
 			if err != nil {
 				errs <- err

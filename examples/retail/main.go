@@ -76,16 +76,10 @@ func main() {
 		incognito.BasicIncognito,
 		incognito.SuperRootsIncognito,
 		incognito.CubeIncognito,
-		incognito.MaterializedIncognito,
 		incognito.BinarySearch,
 	} {
 		start := time.Now()
-		res, err := incognito.Anonymize(table, qi, incognito.Config{
-			K: *k, Algorithm: algo,
-			// Budget for MaterializedIncognito (§7 future work): a partial
-			// cube of about 4 base tables' worth of groups.
-			MaterializeBudget: 4 * table.NumRows(),
-		})
+		res, err := incognito.Anonymize(table, qi, incognito.Config{K: *k, Algorithm: algo})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -83,21 +83,3 @@ func TestDimensionCSVHierarchy(t *testing.T) {
 		t.Fatal("missing CSV accepted")
 	}
 }
-
-func TestMaterializedIncognitoPublicAPI(t *testing.T) {
-	tab := patientsTable(t)
-	for _, budget := range []int{0, 100, 1 << 20} {
-		res, err := incognito.Anonymize(tab, patientsQI(), incognito.Config{
-			K: 2, Algorithm: incognito.MaterializedIncognito, MaterializeBudget: budget,
-		})
-		if err != nil {
-			t.Fatalf("budget %d: %v", budget, err)
-		}
-		if res.Len() != 5 {
-			t.Fatalf("budget %d: %d solutions, want 5", budget, res.Len())
-		}
-		if !res.Complete() {
-			t.Fatal("materialized variant must be complete")
-		}
-	}
-}

@@ -44,7 +44,6 @@ func TestAnonymizePatientsAllAlgorithms(t *testing.T) {
 		incognito.CubeIncognito,
 		incognito.BottomUp,
 		incognito.BottomUpRollup,
-		incognito.MaterializedIncognito,
 	}
 	wantLevels := [][]int{
 		{1, 1, 0}, {0, 1, 2}, {1, 0, 2}, {1, 1, 1}, {1, 1, 2},
@@ -218,8 +217,10 @@ func TestAnonymizeValidation(t *testing.T) {
 	if _, err := incognito.Anonymize(tab, qi, incognito.Config{K: 2}); err == nil {
 		t.Fatal("invalid RoundDigits accepted")
 	}
-	if _, err := incognito.Anonymize(tab, patientsQI(), incognito.Config{K: 2, Algorithm: incognito.Algorithm(99)}); err == nil {
-		t.Fatal("unknown algorithm accepted")
+	for _, a := range []incognito.Algorithm{incognito.BinarySearch + 1, 99} {
+		if _, err := incognito.Anonymize(tab, patientsQI(), incognito.Config{K: 2, Algorithm: a}); err == nil {
+			t.Fatalf("unknown algorithm %d accepted", a)
+		}
 	}
 }
 
@@ -332,17 +333,20 @@ func TestTableCSVRoundTripPublicAPI(t *testing.T) {
 
 func TestAlgorithmStrings(t *testing.T) {
 	names := map[incognito.Algorithm]string{
-		incognito.BasicIncognito:        "Basic Incognito",
-		incognito.SuperRootsIncognito:   "Super-roots Incognito",
-		incognito.CubeIncognito:         "Cube Incognito",
-		incognito.BottomUp:              "Bottom-Up (w/o rollup)",
-		incognito.BottomUpRollup:        "Bottom-Up (w/ rollup)",
-		incognito.BinarySearch:          "Binary Search",
-		incognito.MaterializedIncognito: "Materialized Incognito",
+		incognito.BasicIncognito:      "Basic Incognito",
+		incognito.SuperRootsIncognito: "Super-roots Incognito",
+		incognito.CubeIncognito:       "Cube Incognito",
+		incognito.BottomUp:            "Bottom-Up (w/o rollup)",
+		incognito.BottomUpRollup:      "Bottom-Up (w/ rollup)",
+		incognito.BinarySearch:        "Binary Search",
 	}
 	for a, want := range names {
 		if a.String() != want {
 			t.Fatalf("%d.String() = %q, want %q", a, a.String(), want)
 		}
+	}
+	// BinarySearch is the last constant; the value after it names nothing.
+	if got := (incognito.BinarySearch + 1).String(); got != "unknown" {
+		t.Errorf("%d.String() = %q, want unknown", incognito.BinarySearch+1, got)
 	}
 }

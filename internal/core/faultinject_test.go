@@ -20,19 +20,6 @@ import (
 // The fault matrix arms the package-global injection registry, so none of
 // these tests may run in parallel with each other.
 
-// runMaterializedGuarded mirrors the public API's usage of the materialized
-// variant: the budgeted build can rethrow a typed worker panic, which a
-// production caller converts at its own boundary.
-func runMaterializedGuarded(in Input) (res *Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			res, err = nil, resilience.AsPanicError("run", r)
-		}
-	}()
-	mat := MaterializeBudget(&in, 1<<14)
-	return RunMaterialized(in, mat)
-}
-
 // shardInput is an Adults instance big enough that ScanFreq actually shards
 // (minShardRows rows per worker) at parallelism ≥ 2.
 func shardInput(tb testing.TB) Input {
@@ -92,9 +79,6 @@ func TestInjectedPanicsSurfaceAsPanicErrors(t *testing.T) {
 		{site: "core.cube_wave", input: patients, sparse: []bool{false}, parallel: []int{1, 2},
 			run:        func(in Input) (*Result, error) { return Run(in, Cube) },
 			wantInSite: "cube_wave["},
-		{site: "core.materialize_wave", input: patients, sparse: []bool{false}, parallel: []int{1, 2},
-			run:        runMaterializedGuarded,
-			wantInSite: "materialize_wave["},
 		{site: "relation.dense_scan", input: patients, sparse: []bool{false}, parallel: parallelismLevels(),
 			run: func(in Input) (*Result, error) { return Run(in, Basic) }},
 		{site: "relation.dense_rollup", input: patients, sparse: []bool{false}, parallel: parallelismLevels(),

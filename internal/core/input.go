@@ -86,11 +86,10 @@ type Input struct {
 	// uninterrupted run. The snapshot's fingerprint must match this input.
 	Resume *resilience.Snapshot
 	// Budget, when non-nil, enforces a soft memory budget over the run's
-	// long-lived frequency sets (cube and materialized views, failure
-	// frontiers retained for rollup): over budget, new sets fall back to the
-	// sparse kernel and materialization is shed; past the hard stop the run
-	// aborts at the next boundary with resilience.ErrDegraded, returning
-	// the solutions already proven.
+	// long-lived frequency sets (cube sets, failure frontiers retained for
+	// rollup): over budget, new sets fall back to the sparse kernel; past
+	// the hard stop the run aborts at the next boundary with
+	// resilience.ErrDegraded, returning the solutions already proven.
 	Budget *resilience.Accountant
 	// Capture, when non-nil, collects a NodeRecord for every node whose
 	// frequency set is checked, plus the delta screen's updated records —
@@ -316,8 +315,8 @@ func (in *Input) CheckFreq(f *relation.FreqSet) bool {
 }
 
 // grantFreq charges a long-lived frequency set (retained past the current
-// node: a failure-frontier set, a cube set, a materialized view) to the
-// memory accountant. Transient scan and rollup results are not charged.
+// node: a failure-frontier set or a cube set) to the memory accountant.
+// Transient scan and rollup results are not charged.
 func (in *Input) grantFreq(f *relation.FreqSet) {
 	if in.Budget != nil && f != nil {
 		in.Budget.Grant(f.MemBytes())
@@ -363,4 +362,12 @@ func (in *Input) Fingerprint(algorithm string) resilience.Fingerprint {
 		Rows:        rows,
 		TableHash:   h.Sum64(),
 	}
+}
+
+// put32 stores c little-endian at the j-th 4-byte slot of buf.
+func put32(buf []byte, j int, c int32) {
+	buf[4*j] = byte(c)
+	buf[4*j+1] = byte(c >> 8)
+	buf[4*j+2] = byte(c >> 16)
+	buf[4*j+3] = byte(c >> 24)
 }

@@ -173,28 +173,6 @@ func TestTraceCountersSumToStats(t *testing.T) {
 	}
 }
 
-// TestTraceCountersSumToStatsMaterialized covers the budgeted-materialization
-// path: the trace must account for both the view build and the search.
-func TestTraceCountersSumToStatsMaterialized(t *testing.T) {
-	for _, budget := range []int64{0, 200, 1 << 20} {
-		in := determinismInputs(t)[1]
-		in.Trace = trace.New()
-		mat := MaterializeBudget(&in, budget)
-		res, err := RunMaterialized(in, mat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		total := mat.BuildStats
-		total.Add(res.Stats)
-		doc := in.Trace.Export()
-		for name, want := range statsCounters(total) {
-			if got := doc.SumCounter(name); got != want {
-				t.Errorf("budget %d: trace sum of %q = %d, stats say %d", budget, name, got, want)
-			}
-		}
-	}
-}
-
 // TestTraceCoversEveryIteration asserts the span tree's shape: one search
 // span per run with an iteration child per subset size, each carrying the
 // subset_size attribute.
@@ -258,11 +236,5 @@ func TestRunCancelledBeforeStart(t *testing.T) {
 		if _, err := Run(in, v); !errors.Is(err, context.Canceled) {
 			t.Fatalf("%v: error %v does not wrap context.Canceled", v, err)
 		}
-	}
-	in := patientsInput(2, 0)
-	in.Ctx = ctx
-	mat := MaterializeBudget(&in, 1<<20)
-	if _, err := RunMaterialized(in, mat); !errors.Is(err, context.Canceled) {
-		t.Fatalf("materialized: error does not wrap context.Canceled")
 	}
 }

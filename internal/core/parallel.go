@@ -223,8 +223,8 @@ func searchGraphFamilies(in *Input, g *lattice.Graph, maker rootFreqMaker, stats
 	})
 	if werr != nil {
 		// Rethrow the typed worker panic so the variant's run-level guard
-		// prefixes the span path with the run root, same as the cube and
-		// materialization waves.
+		// prefixes the span path with the run root, same as the cube
+		// waves.
 		panic(werr)
 	}
 	for _, e := range errs {

@@ -78,38 +78,6 @@ func TestDeterminismAcrossParallelism(t *testing.T) {
 				})
 			}
 		}
-		// Materialized Incognito: the partial cube build and the search must
-		// both be deterministic, including the scan/rollup mix in BuildStats.
-		in := ref
-		t.Run(fmt.Sprintf("input=%d/Materialized", di), func(t *testing.T) {
-			const budget = 1 << 14
-			in.Parallelism = 1
-			refMat := MaterializeBudget(&in, budget)
-			want, err := RunMaterialized(in, refMat)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, p := range parallelismLevels()[1:] {
-				in.Parallelism = p
-				mat := MaterializeBudget(&in, budget)
-				if mat.BuildStats != refMat.BuildStats {
-					t.Fatalf("parallelism %d changed materialization stats:\ngot  %+v\nwant %+v", p, mat.BuildStats, refMat.BuildStats)
-				}
-				if !reflect.DeepEqual(mat.ViewDims(), refMat.ViewDims()) {
-					t.Fatalf("parallelism %d changed the selected views:\ngot  %v\nwant %v", p, mat.ViewDims(), refMat.ViewDims())
-				}
-				got, err := RunMaterialized(in, mat)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got.Solutions, want.Solutions) {
-					t.Fatalf("parallelism %d changed solutions:\ngot  %v\nwant %v", p, got.Solutions, want.Solutions)
-				}
-				if got.Stats != want.Stats {
-					t.Fatalf("parallelism %d changed stats:\ngot  %+v\nwant %+v", p, got.Stats, want.Stats)
-				}
-			}
-		})
 	}
 }
 

@@ -23,10 +23,6 @@ var resilienceVariants = []struct {
 	{"Basic", func(in Input) (*Result, error) { return Run(in, Basic) }},
 	{"SuperRoots", func(in Input) (*Result, error) { return Run(in, SuperRoots) }},
 	{"Cube", func(in Input) (*Result, error) { return Run(in, Cube) }},
-	{"Materialized", func(in Input) (*Result, error) {
-		mat := MaterializeBudget(&in, 512)
-		return RunMaterialized(in, mat)
-	}},
 }
 
 // checkpointDir is where a kill-and-resume subtest writes its snapshots: a
@@ -309,42 +305,6 @@ func TestBudgetSoftPressureForcesSparse(t *testing.T) {
 	}
 }
 
-// TestBudgetShedsMaterialization pins the second rung: over the soft budget,
-// strategic materialization sheds its waves (an exact, smaller partial cube)
-// and the search still answers every root by scanning.
-func TestBudgetShedsMaterialization(t *testing.T) {
-	base := determinismInputs(t)[1]
-	in := base
-	refMat := MaterializeBudget(&in, 1<<20)
-	if refMat.NumViews() == 0 {
-		t.Fatal("setup: unpressured materialization selected no views")
-	}
-	want, err := RunMaterialized(in, refMat)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const soft = int64(1) << 40
-	a := resilience.NewAccountant(soft)
-	a.Grant(soft + 1)
-	in = base
-	in.Budget = a
-	mat := MaterializeBudget(&in, 1<<20)
-	if mat.NumViews() != 0 {
-		t.Errorf("pressured materialization still built %d views", mat.NumViews())
-	}
-	if a.Sheds() == 0 {
-		t.Error("no shed events recorded")
-	}
-	got, err := RunMaterialized(in, mat)
-	if err != nil {
-		t.Fatalf("run with fully shed materialization failed: %v", err)
-	}
-	if !reflect.DeepEqual(got.Solutions, want.Solutions) {
-		t.Error("shed materialization changed the solution set")
-	}
-}
-
 // TestBudgetHardStopReturnsProvenSubset pins the last rung: past twice the
 // budget the run aborts with ErrDegraded, returning a result whose solutions
 // are a subset of the true solution set, with the abort recorded on the
@@ -412,7 +372,7 @@ func TestBudgetCompleteRunBalancesAccounting(t *testing.T) {
 	if used := a.Used(); used != 0 {
 		t.Errorf("accounting leak: %d bytes still granted after a complete Basic run", used)
 	}
-	if a.DenseFallbacks() != 0 || a.Sheds() != 0 || a.Aborted() {
+	if a.DenseFallbacks() != 0 || a.Aborted() {
 		t.Error("generous budget recorded degradation events")
 	}
 }

@@ -6,8 +6,7 @@ import (
 	"incognito/internal/dataset"
 )
 
-// TestAdultsScaleAgreement runs the three variants plus the materialized
-// extension on a mid-sized Adults instance (10k rows, 6-attribute QI) and
+// TestAdultsScaleAgreement runs the three variants on a mid-sized Adults instance (10k rows, 6-attribute QI) and
 // checks they agree exactly — the oracle tests cover correctness on small
 // random instances; this guards the realistic regime. Skipped with -short.
 func TestAdultsScaleAgreement(t *testing.T) {
@@ -36,14 +35,6 @@ func TestAdultsScaleAgreement(t *testing.T) {
 		if len(res.Solutions) != len(basic.Solutions) {
 			t.Fatalf("%v found %d solutions, basic %d", v, len(res.Solutions), len(basic.Solutions))
 		}
-	}
-	mat := MaterializeBudget(&in, 1<<20)
-	res, err := RunMaterialized(in, mat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Solutions) != len(basic.Solutions) {
-		t.Fatalf("materialized found %d solutions, basic %d", len(res.Solutions), len(basic.Solutions))
 	}
 
 	// Applying the minimal solution yields a verifiably k-anonymous view of

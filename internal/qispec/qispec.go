@@ -142,8 +142,6 @@ func ParseAlgorithm(name string) (incognito.Algorithm, error) {
 		return incognito.BottomUpRollup, nil
 	case "binary":
 		return incognito.BinarySearch, nil
-	case "materialized":
-		return incognito.MaterializedIncognito, nil
 	}
 	return 0, fmt.Errorf("incognito: unknown algorithm %q", name)
 }

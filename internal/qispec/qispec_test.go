@@ -66,13 +66,16 @@ func TestCanonical(t *testing.T) {
 }
 
 func TestParseAlgorithmRoundTrip(t *testing.T) {
-	for _, name := range []string{"basic", "superroots", "cube", "materialized", "bottomup", "bottomup-rollup", "binary"} {
+	for _, name := range []string{"basic", "superroots", "cube", "bottomup", "bottomup-rollup", "binary"} {
 		if _, err := ParseAlgorithm(name); err != nil {
 			t.Errorf("ParseAlgorithm(%q): %v", name, err)
 		}
 	}
-	if _, err := ParseAlgorithm("quantum"); err == nil {
-		t.Error("unknown algorithm accepted")
+	// "materialized" named strategic materialization, which was removed.
+	for _, name := range []string{"quantum", "materialized"} {
+		if _, err := ParseAlgorithm(name); err == nil {
+			t.Errorf("unknown algorithm %q accepted", name)
+		}
 	}
 }
 

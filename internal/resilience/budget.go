@@ -14,19 +14,18 @@ import (
 var ErrDegraded = errors.New("resilience: memory budget exhausted, returning best-so-far partial result")
 
 // hardFactor scales the soft budget to the hard stop: between budget and
-// hardFactor×budget the run degrades (sparse kernels, shed materialization);
-// past the hard stop it aborts with ErrDegraded.
+// hardFactor×budget the run degrades (sparse kernels); past the hard stop it
+// aborts with ErrDegraded.
 const hardFactor = 2
 
 // Accountant tracks an estimate of the live frequency-set bytes of a run
 // against a soft budget. It deliberately does not try to be exact — it
-// counts the long-lived allocations (cube and materialized views, the
-// failure-frontier sets retained for rollup) whose growth is what actually
-// OOMs large runs — and drives the degradation ladder:
+// counts the long-lived allocations (cube sets, the failure-frontier sets
+// retained for rollup) whose growth is what actually OOMs large runs — and
+// drives the degradation ladder:
 //
 //  1. used > budget: new frequency sets fall back from the dense array
-//     kernel to the sparse map (DenseAllowed), and strategic materialization
-//     stops adding views (AllowMaterialize);
+//     kernel to the sparse map (DenseAllowed);
 //  2. used > hardFactor×budget: the run aborts at the next phase boundary
 //     with ErrDegraded (Exhausted), returning whatever solutions were
 //     already proven.
@@ -38,7 +37,6 @@ type Accountant struct {
 	used   atomic.Int64
 
 	denseFallbacks atomic.Int64
-	sheds          atomic.Int64
 	aborted        atomic.Bool
 }
 
@@ -99,16 +97,6 @@ func (a *Accountant) DenseAllowed() bool {
 	return false
 }
 
-// AllowMaterialize reports whether strategic materialization may add
-// another view; false — one shed event — once the soft budget is exceeded.
-func (a *Accountant) AllowMaterialize() bool {
-	if a == nil || a.used.Load() <= a.budget {
-		return true
-	}
-	a.sheds.Add(1)
-	return false
-}
-
 // Exhausted reports whether the estimate passed the hard stop
 // (hardFactor×budget); the run must abort with ErrDegraded at the next
 // boundary.
@@ -130,14 +118,6 @@ func (a *Accountant) DenseFallbacks() int64 {
 		return 0
 	}
 	return a.denseFallbacks.Load()
-}
-
-// Sheds returns how many materialization decisions the budget shed.
-func (a *Accountant) Sheds() int64 {
-	if a == nil {
-		return 0
-	}
-	return a.sheds.Load()
 }
 
 // Aborted reports whether the run hit the hard stop.

@@ -11,32 +11,28 @@ func TestAccountantLadder(t *testing.T) {
 
 	// Under budget: everything allowed, nothing counted.
 	a.Grant(600)
-	if !a.DenseAllowed() || !a.AllowMaterialize() || a.Over() || a.Exhausted() {
+	if !a.DenseAllowed() || a.Over() || a.Exhausted() {
 		t.Fatalf("under budget: unexpectedly restricted (used=%d)", a.Used())
 	}
-	if a.DenseFallbacks() != 0 || a.Sheds() != 0 {
-		t.Fatal("under budget: degradation counters moved")
+	if a.DenseFallbacks() != 0 {
+		t.Fatal("under budget: degradation counter moved")
 	}
 
-	// Over the soft budget: dense and materialization denied and counted,
-	// but not exhausted.
+	// Over the soft budget: dense denied and counted, but not exhausted.
 	a.Grant(600)
 	if a.DenseAllowed() {
 		t.Error("over soft budget: dense still allowed")
 	}
-	if a.AllowMaterialize() {
-		t.Error("over soft budget: materialization still allowed")
-	}
 	if a.Exhausted() {
 		t.Error("over soft budget: already exhausted")
 	}
-	if a.DenseFallbacks() != 1 || a.Sheds() != 1 {
-		t.Errorf("degradation counters = %d/%d, want 1/1", a.DenseFallbacks(), a.Sheds())
+	if a.DenseFallbacks() != 1 {
+		t.Errorf("dense fallbacks = %d, want 1", a.DenseFallbacks())
 	}
 
 	// Releasing below the budget restores full service.
 	a.Release(600)
-	if !a.DenseAllowed() || !a.AllowMaterialize() {
+	if !a.DenseAllowed() {
 		t.Error("released below budget: still restricted")
 	}
 
@@ -62,10 +58,10 @@ func TestAccountantNil(t *testing.T) {
 	a.Grant(1 << 40)
 	a.Release(1)
 	a.NoteAbort()
-	if !a.DenseAllowed() || !a.AllowMaterialize() || a.Over() || a.Exhausted() || a.Aborted() {
+	if !a.DenseAllowed() || a.Over() || a.Exhausted() || a.Aborted() {
 		t.Error("nil accountant restricted something")
 	}
-	if a.Used() != 0 || a.Budget() != 0 || a.DenseFallbacks() != 0 || a.Sheds() != 0 {
+	if a.Used() != 0 || a.Budget() != 0 || a.DenseFallbacks() != 0 {
 		t.Error("nil accountant accessors not zero")
 	}
 }

@@ -2,8 +2,8 @@
 // algorithms are threaded through: typed worker-panic errors (so a panic in
 // one goroutine of a parallel phase surfaces as an ordinary error carrying
 // the worker's span path instead of crashing the process), a soft memory
-// accountant driving the degradation ladder (dense→sparse kernels, shed
-// materialization, best-effort abort with ErrDegraded), and versioned,
+// accountant driving the degradation ladder (dense→sparse kernels, then
+// best-effort abort with ErrDegraded), and versioned,
 // checksummed search-frontier snapshots for checkpoint/resume.
 //
 // The package depends only on the standard library so every layer of the

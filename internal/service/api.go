@@ -73,7 +73,7 @@ type SubmitRequest struct {
 // Policy is the per-job knob set — the request-body equivalent of the
 // cmd/incognito flags. Zero values take the daemon's defaults.
 type Policy struct {
-	// Algorithm is one of basic, superroots, cube, materialized, bottomup,
+	// Algorithm is one of basic, superroots, cube, bottomup,
 	// bottomup-rollup, or binary (default basic).
 	Algorithm string `json:"algorithm,omitempty"`
 	// K is the anonymity parameter. Required, >= 1.
@@ -95,9 +95,6 @@ type Policy struct {
 	// Criterion picks the released solution: height (default), precision,
 	// discernibility, or avgclass.
 	Criterion string `json:"criterion,omitempty"`
-	// MaterializeBudget is the partial-cube group budget of the
-	// materialized algorithm (ignored otherwise).
-	MaterializeBudget int `json:"materialize_budget,omitempty"`
 	// RetainState keeps the run's incremental-reanonymization state on the
 	// finished job, making it a valid parent for POST /v1/jobs/{id}/delta.
 	// Only the basic algorithm supports it, and a retain-state job is never
@@ -245,7 +242,6 @@ type resolved struct {
 	timeout     time.Duration
 	criterion   incognito.Criterion
 	critName    string
-	matBudget   int
 	retainState bool
 }
 
@@ -262,10 +258,7 @@ func (c *Config) resolve(p Policy) (resolved, error) {
 	if p.Parallelism < 0 {
 		return r, fmt.Errorf("policy.parallelism must be >= 0, got %d", p.Parallelism)
 	}
-	if p.MaterializeBudget < 0 {
-		return r, fmt.Errorf("policy.materialize_budget must be >= 0, got %d", p.MaterializeBudget)
-	}
-	r.k, r.maxSuppress, r.matBudget = p.K, p.MaxSuppress, p.MaterializeBudget
+	r.k, r.maxSuppress = p.K, p.MaxSuppress
 
 	algoName := p.Algorithm
 	if algoName == "" {

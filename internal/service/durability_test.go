@@ -141,11 +141,46 @@ func TestJournalCompactionStripsTerminalDatasets(t *testing.T) {
 	}
 }
 
+// writeAcceptedRecords writes a journal of raw accepted records, one per
+// policy JSON, for jobs job-000001, job-000002, … in that order. Raw JSON
+// lets a test replay fields the current Policy type no longer has.
+func writeAcceptedRecords(t *testing.T, dir string, policies ...string) {
+	t.Helper()
+	var journal strings.Builder
+	for i, policy := range policies {
+		id := fmt.Sprintf("job-%06d", i+1)
+		body := fmt.Sprintf(`{"seq":%d,"time":"2026-01-01T00:00:00Z","type":"accepted","job":%q,"csv":%q,"qi":%q,"policy":%s,"request_id":"req-%s"}`,
+			i+1, id, patientsCSV, patientsQI, policy, id)
+		sum := sha256.Sum256([]byte(body))
+		journal.WriteString(hex.EncodeToString(sum[:8]) + " " + body + "\n")
+	}
+	if err := os.WriteFile(filepath.Join(dir, journalName), []byte(journal.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// recoveredRelease returns the released CSV of a recovered job that ran
+// to completion.
+func recoveredRelease(t *testing.T, s *Service, id string) string {
+	t.Helper()
+	j, _ := s.Job(id)
+	j.mu.Lock()
+	raw := j.result
+	j.mu.Unlock()
+	var payload ResultPayload
+	if err := json.Unmarshal(raw, &payload); err != nil {
+		t.Fatalf("recovered job %s re-ran but has no result payload: %v", id, err)
+	}
+	return payload.ReleasedCSV
+}
+
 // An interrupted queued job comes back: revalidated, re-enqueued under its
 // original ID, run to completion with a fetchable result byte-identical
-// to the library path. A record written before multi-process partitioning
-// was removed carries "partitions" in its policy; replay decodes records
-// leniently, so the field is ignored and the job runs in-process.
+// to the library path. Records written by older daemons carry policy
+// fields that were removed since — "partitions" (multi-process
+// partitioning) and "materialize_budget" (strategic materialization);
+// replay decodes records leniently, so the fields are ignored and the job
+// runs as a plain in-process basic job.
 func TestRecoveryRequeuesInterruptedJob(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -153,16 +188,11 @@ func TestRecoveryRequeuesInterruptedJob(t *testing.T) {
 	}{
 		{"current record", `{"k":2}`},
 		{"partitioned record from an older daemon", `{"k":2,"partitions":2}`},
+		{"materialize budget from an older daemon", `{"k":2,"materialize_budget":4096}`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			body := fmt.Sprintf(`{"seq":1,"time":"2026-01-01T00:00:00Z","type":"accepted","job":"job-000001","csv":%q,"qi":%q,"policy":%s,"request_id":"req-job-000001"}`,
-				patientsCSV, patientsQI, tc.policy)
-			sum := sha256.Sum256([]byte(body))
-			line := hex.EncodeToString(sum[:8]) + " " + body + "\n"
-			if err := os.WriteFile(filepath.Join(dir, journalName), []byte(line), 0o644); err != nil {
-				t.Fatal(err)
-			}
+			writeAcceptedRecords(t, dir, tc.policy)
 			s := newTestService(t, Config{Workers: 1, JournalDir: dir})
 			s.WaitRecovered()
 			if got := s.RecoveredJobs(); got != 1 {
@@ -178,16 +208,8 @@ func TestRecoveryRequeuesInterruptedJob(t *testing.T) {
 			if st.RequestID != "req-job-000001" {
 				t.Errorf("request ID %q did not survive the restart", st.RequestID)
 			}
-			j, _ := s.Job("job-000001")
-			j.mu.Lock()
-			raw := j.result
-			j.mu.Unlock()
-			var payload ResultPayload
-			if err := json.Unmarshal(raw, &payload); err != nil {
-				t.Fatalf("recovered job re-ran but has no result payload: %v", err)
-			}
-			if want := libraryReleasedCSV(t); payload.ReleasedCSV != want {
-				t.Errorf("recovered release differs from the library path:\n%s\n--- want ---\n%s", payload.ReleasedCSV, want)
+			if got, want := recoveredRelease(t, s, "job-000001"), libraryReleasedCSV(t); got != want {
+				t.Errorf("recovered release differs from the library path:\n%s\n--- want ---\n%s", got, want)
 			}
 			// Fresh submissions continue the ID sequence past the recovered job.
 			resp, serr := s.Submit(validRequest())
@@ -198,6 +220,37 @@ func TestRecoveryRequeuesInterruptedJob(t *testing.T) {
 				t.Error("fresh submission reused the recovered job's ID")
 			}
 		})
+	}
+}
+
+// A job journaled with the removed "materialized" algorithm no longer
+// validates: recovery journals it failed, and the basic job next to it
+// still recovers and releases the library path's bytes.
+func TestRecoveryFailsRemovedAlgorithm(t *testing.T) {
+	dir := t.TempDir()
+	writeAcceptedRecords(t, dir, `{"k":2,"algorithm":"materialized","materialize_budget":4096}`, `{"k":2}`)
+	s := newTestService(t, Config{Workers: 1, JournalDir: dir})
+	s.WaitRecovered()
+	st := mustJobStatus(t, s, "job-000001")
+	if st.State != StateFailed || !strings.Contains(st.Error, "policy no longer accepted after restart") ||
+		!strings.Contains(st.Error, `"materialized"`) {
+		t.Fatalf("materialized record recovered as %s/%q, want failed naming the algorithm", st.State, st.Error)
+	}
+	if st := waitTerminal(t, s, "job-000002"); st.State != StateDone {
+		t.Fatalf("basic job next to it finished %s (%s), want done", st.State, st.Error)
+	}
+	if got, want := recoveredRelease(t, s, "job-000002"), libraryReleasedCSV(t); got != want {
+		t.Errorf("recovered release differs from the library path:\n%s\n--- want ---\n%s", got, want)
+	}
+	if got := s.RecoveredJobs(); got != 1 {
+		t.Errorf("RecoveredJobs() = %d, want 1 (the failed record is not re-enqueued)", got)
+	}
+	// The failure is durable: a second restart replays it as a tombstone.
+	s.Drain()
+	s2 := newTestService(t, Config{Workers: 1, JournalDir: dir})
+	s2.WaitRecovered()
+	if st := mustJobStatus(t, s2, "job-000001"); st.State != StateFailed {
+		t.Errorf("after a second restart the materialized job is %s, want failed", st.State)
 	}
 }
 

@@ -426,3 +426,46 @@ func keys(m map[string][]byte) []string {
 	}
 	return out
 }
+
+// Every monotone daemon series is published as a Prometheus counter: each
+// family whose name ends in _total (the journal's included) declares
+// `# TYPE … counter`, so rate() and reset detection work on a scrape.
+func TestMetricsTotalsAreCounters(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	s := newTestService(t, Config{Workers: 1, Registry: reg, JournalDir: t.TempDir()})
+	s.WaitRecovered()
+	resp, serr := s.Submit(validRequest())
+	if serr != nil {
+		t.Fatal(serr)
+	}
+	waitTerminal(t, s, resp.ID)
+	var out strings.Builder
+	if err := reg.WritePrometheus(&out); err != nil {
+		t.Fatal(err)
+	}
+	types := make(map[string]string)
+	for _, line := range strings.Split(out.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			types[f[2]] = f[3]
+		}
+	}
+	for name, kind := range types {
+		if strings.HasSuffix(name, "_total") && kind != "counter" {
+			t.Errorf("%s ends in _total but is typed %s", name, kind)
+		}
+	}
+	for _, name := range []string{
+		"incognitod_runs_total", "incognitod_coalesced_total",
+		"incognitod_recovered_jobs_total", "incognitod_journal_append_errors_total",
+		"incognito_delta_jobs_total", "incognito_delta_rows_rescanned_total",
+		"incognito_delta_nodes_screened_total", "incognito_delta_nodes_revalidated_total",
+		"incognito_delta_cache_invalidations_total",
+	} {
+		if types[name] != "counter" {
+			t.Errorf("%s typed %q, want counter", name, types[name])
+		}
+	}
+	if !strings.Contains(out.String(), "\nincognitod_runs_total 1\n") {
+		t.Errorf("incognitod_runs_total did not count the run:\n%s", out.String())
+	}
+}

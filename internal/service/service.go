@@ -176,8 +176,8 @@ func New(cfg Config) (*Service, error) {
 }
 
 // registerMetrics exposes the service's live state on the telemetry
-// registry, following the repo convention of bridging atomics as
-// GaugeFuncs (evaluated at scrape time).
+// registry, bridging atomics as GaugeFuncs and, for the monotone *_total
+// series, CounterFuncs (both evaluated at scrape time).
 func (s *Service) registerMetrics() {
 	reg := s.cfg.Registry
 	if reg == nil {
@@ -195,9 +195,9 @@ func (s *Service) registerMetrics() {
 		func() float64 { return float64(s.failed.Load()) })
 	reg.GaugeFunc("incognitod_jobs_cancelled", "Jobs cancelled before completing since start.",
 		func() float64 { return float64(s.cancelled.Load()) })
-	reg.GaugeFunc("incognitod_runs_total", "Underlying anonymization runs started (deduplicated submissions share one).",
+	reg.CounterFunc("incognitod_runs_total", "Underlying anonymization runs started (deduplicated submissions share one).",
 		func() float64 { return float64(s.runs.Load()) })
-	reg.GaugeFunc("incognitod_coalesced_total", "Submissions that attached to an identical in-flight job.",
+	reg.CounterFunc("incognitod_coalesced_total", "Submissions that attached to an identical in-flight job.",
 		func() float64 { return float64(s.coalesce.Load()) })
 	reg.GaugeFunc("incognitod_cache_entries", "Result-cache entries.",
 		func() float64 { return float64(s.cache.Len()) })
@@ -211,24 +211,24 @@ func (s *Service) registerMetrics() {
 		func() float64 { return float64(s.cache.Evicted()) })
 	reg.GaugeFunc("incognitod_cache_hit_ratio", "hits/(hits+misses) since start, 0 before the first lookup.",
 		func() float64 { return s.cache.HitRatio() })
-	reg.GaugeFunc("incognito_delta_jobs_total", "Delta jobs completed since start.",
+	reg.CounterFunc("incognito_delta_jobs_total", "Delta jobs completed since start.",
 		func() float64 { return float64(s.deltaJobs.Load()) })
-	reg.GaugeFunc("incognito_delta_rows_rescanned_total", "Rows re-scanned by delta runs (delta rows plus forced full re-scans).",
+	reg.CounterFunc("incognito_delta_rows_rescanned_total", "Rows re-scanned by delta runs (delta rows plus forced full re-scans).",
 		func() float64 { return float64(s.deltaRescanned.Load()) })
-	reg.GaugeFunc("incognito_delta_nodes_screened_total", "Lattice nodes delta runs decided from saved records without recounting.",
+	reg.CounterFunc("incognito_delta_nodes_screened_total", "Lattice nodes delta runs decided from saved records without recounting.",
 		func() float64 { return float64(s.deltaScreened.Load()) })
-	reg.GaugeFunc("incognito_delta_nodes_revalidated_total", "Lattice nodes delta runs had to recount in full.",
+	reg.CounterFunc("incognito_delta_nodes_revalidated_total", "Lattice nodes delta runs had to recount in full.",
 		func() float64 { return float64(s.deltaRevalidated.Load()) })
-	reg.GaugeFunc("incognito_delta_cache_invalidations_total", "Parent cache entries invalidated by delta submissions.",
+	reg.CounterFunc("incognito_delta_cache_invalidations_total", "Parent cache entries invalidated by delta submissions.",
 		func() float64 { return float64(s.cache.Invalidated()) })
-	reg.GaugeFunc("incognitod_recovered_jobs_total", "Interrupted jobs re-enqueued by startup journal recovery.",
+	reg.CounterFunc("incognitod_recovered_jobs_total", "Interrupted jobs re-enqueued by startup journal recovery.",
 		func() float64 { return float64(s.recovered.Load()) })
 	if s.journal != nil {
 		reg.GaugeFunc("incognitod_journal_records", "Journal records appended by this process.",
 			func() float64 { return float64(s.journal.Records()) })
 		reg.GaugeFunc("incognitod_journal_bytes", "Journal file size in bytes.",
 			func() float64 { return float64(s.journal.Bytes()) })
-		reg.GaugeFunc("incognitod_journal_append_errors_total", "Journal appends that failed (durability degraded).",
+		reg.CounterFunc("incognitod_journal_append_errors_total", "Journal appends that failed (durability degraded).",
 			func() float64 { return float64(s.journal.Errs()) })
 		reg.GaugeFunc("incognitod_recovering", "1 while startup journal replay is in progress, else 0.",
 			func() float64 {
@@ -710,7 +710,6 @@ func (s *Service) execute(ctx context.Context, j *Job) (publish func()) {
 		K:                 j.pol.k,
 		MaxSuppressed:     j.pol.maxSuppress,
 		Algorithm:         j.pol.algorithm,
-		MaterializeBudget: j.pol.matBudget,
 		Parallelism:       j.pol.parallelism,
 		SparseKernel:      j.pol.sparse,
 		MemoryBudgetBytes: j.pol.memBudget,
@@ -721,8 +720,7 @@ func (s *Service) execute(ctx context.Context, j *Job) (publish func()) {
 	}
 	if s.cfg.CheckpointDir != "" {
 		switch j.pol.algorithm {
-		case incognito.BasicIncognito, incognito.SuperRootsIncognito,
-			incognito.CubeIncognito, incognito.MaterializedIncognito:
+		case incognito.BasicIncognito, incognito.SuperRootsIncognito, incognito.CubeIncognito:
 			cfg.Checkpoint = incognito.NewCheckpointer(filepath.Join(s.cfg.CheckpointDir, j.ID+".ckpt"))
 		}
 	}

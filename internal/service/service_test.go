@@ -521,6 +521,16 @@ func TestHTTPEndToEnd(t *testing.T) {
 		!strings.Contains(fmt.Sprint(m["error"]), `unknown field "partitions"`) {
 		t.Fatalf("policy.partitions = %d %v, want 400 naming the field", code, m)
 	}
+	// Strategic materialization went away too: its budget field is
+	// rejected by name, and so is its algorithm name.
+	if code, m := post(`{"csv":"a,b\n1,2\n","qi":"a=suppress","policy":{"k":2,"materialize_budget":4096}}`); code != http.StatusBadRequest ||
+		!strings.Contains(fmt.Sprint(m["error"]), `unknown field "materialize_budget"`) {
+		t.Fatalf("policy.materialize_budget = %d %v, want 400 naming the field", code, m)
+	}
+	if code, m := post(`{"csv":"a,b\n1,2\n","qi":"a=suppress","policy":{"k":2,"algorithm":"materialized"}}`); code != http.StatusBadRequest ||
+		!strings.Contains(fmt.Sprint(m["error"]), `unknown algorithm "materialized"`) {
+		t.Fatalf("policy.algorithm materialized = %d %v, want 400 naming the value", code, m)
+	}
 
 	// DELETE on a finished job is 409; on an unknown job 404.
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+id, nil)
@@ -650,9 +660,6 @@ func TestResolveDefaults(t *testing.T) {
 	}
 	if _, err := cfg.resolve(Policy{K: 2, Parallelism: -1}); err == nil {
 		t.Fatal("negative parallelism accepted")
-	}
-	if _, err := cfg.resolve(Policy{K: 2, MaterializeBudget: -1}); err == nil {
-		t.Fatal("negative materialize_budget accepted")
 	}
 	if fmt.Sprintf("%v", r.algorithm) == "" {
 		t.Fatal("algorithm default missing")

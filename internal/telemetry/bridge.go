@@ -36,10 +36,11 @@ func (r *Registry) NewRunMetrics() *RunMetrics {
 }
 
 // registerScheduler exposes a scheduler-metrics handle as export-time
-// gauges: its values live in the scheduler's atomics, so the hot paths
-// never touch the registry (the GaugeFunc bridge, like live Progress).
+// gauges and counters: its values live in the scheduler's atomics, so the
+// hot paths never touch the registry (the GaugeFunc/CounterFunc bridge,
+// like live Progress).
 func registerScheduler(r *Registry, m *sched.Metrics) {
-	r.GaugeFunc("incognito_sched_tasks_total",
+	r.CounterFunc("incognito_sched_tasks_total",
 		"Tasks executed by the scheduler.",
 		func() float64 { return float64(m.Tasks()) })
 	r.GaugeFunc("incognito_sched_queue_depth",
@@ -54,10 +55,10 @@ func registerScheduler(r *Registry, m *sched.Metrics) {
 	r.GaugeFunc("incognito_sched_worker_utilization",
 		"Fraction of scheduled worker time spent inside tasks (Σ busy / Σ workers × wall).",
 		m.Utilization)
-	r.GaugeFunc("incognito_sched_phases_total",
+	r.CounterFunc("incognito_sched_phases_total",
 		"Scheduler phases by dispatch mode: parallel spawned workers, inline ran on the calling goroutine (single worker, single task, or below the task-size floor).",
 		func() float64 { return float64(m.ParallelPhases()) }, "mode", "parallel")
-	r.GaugeFunc("incognito_sched_phases_total",
+	r.CounterFunc("incognito_sched_phases_total",
 		"Scheduler phases by dispatch mode: parallel spawned workers, inline ran on the calling goroutine (single worker, single task, or below the task-size floor).",
 		func() float64 { return float64(m.InlinePhases()) }, "mode", "inline")
 }

@@ -18,8 +18,6 @@ func RegisterBudget(r *Registry, a *resilience.Accountant) {
 	r.GaugeFunc("incognito_degradation_events", degradationHelp,
 		func() float64 { return float64(a.DenseFallbacks()) }, "action", "dense_fallback")
 	r.GaugeFunc("incognito_degradation_events", degradationHelp,
-		func() float64 { return float64(a.Sheds()) }, "action", "materialization_shed")
-	r.GaugeFunc("incognito_degradation_events", degradationHelp,
 		func() float64 {
 			if a.Aborted() {
 				return 1

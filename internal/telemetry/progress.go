@@ -119,7 +119,7 @@ func (p *Progress) Snapshot() ProgressSnapshot {
 	}
 }
 
-// RegisterProgress exposes a progress handle's counters as live gauges on
+// RegisterProgress exposes a progress handle's counters as live metrics on
 // the registry (evaluated at scrape time), so `curl :PORT/metrics` during
 // a run shows the search advancing. No-op when either side is nil.
 func RegisterProgress(r *Registry, p *Progress) {
@@ -128,7 +128,7 @@ func RegisterProgress(r *Registry, p *Progress) {
 	}
 	r.GaugeFunc("incognito_progress_nodes_visited", "Generalization nodes processed so far (checked or marked).",
 		func() float64 { return float64(p.Snapshot().NodesVisited) })
-	r.GaugeFunc("incognito_progress_nodes_total", "Candidate nodes generated so far (the completion denominator).",
+	r.CounterFunc("incognito_progress_nodes_total", "Candidate nodes generated so far (the completion denominator).",
 		func() float64 { return float64(p.Snapshot().NodesTotal) })
 	r.GaugeFunc("incognito_progress_tuples_scanned", "Base-table tuples read by full scans so far.",
 		func() float64 { return float64(p.Snapshot().TuplesScanned) })

@@ -55,7 +55,11 @@ func (f *family) write(w *bufio.Writer) error {
 		var err error
 		switch f.kind {
 		case kindCounter:
-			err = writeSample(w, f.name, s.labels, "", formatInt(s.counter.Load()))
+			v := formatInt(s.counter.Load())
+			if s.fn != nil {
+				v = formatFloat(s.fn())
+			}
+			err = writeSample(w, f.name, s.labels, "", v)
 		case kindGauge:
 			v := (&Gauge{s: s}).Value()
 			if s.fn != nil {

@@ -20,6 +20,7 @@ func goldenRegistry() *Registry {
 	r.Counter("incognito_nodes_checked_total", "Generalization nodes whose k-anonymity was tested explicitly.").Add(42)
 	r.Counter("incognito_cells_total", "Cells run, by algorithm.", "algorithm", "Basic Incognito").Add(3)
 	r.Counter("incognito_cells_total", "Cells run, by algorithm.", "algorithm", "Cube Incognito").Add(1)
+	r.CounterFunc("incognito_runs_total", "Runs started.", func() float64 { return 5 })
 	r.Gauge("incognito_goroutines", "Current number of goroutines.").Set(7)
 	r.GaugeFunc("incognito_progress_nodes_visited", "Nodes processed so far.", func() float64 { return 19 })
 	h := r.Histogram("incognito_freqset_groups", "Groups per materialized frequency set.", []float64{1, 10, 100})
@@ -71,6 +72,9 @@ func TestWritePrometheusValid(t *testing.T) {
 	if n := len(families["incognito_cells_total"].samples); n != 2 {
 		t.Errorf("labeled counter has %d samples, want 2", n)
 	}
+	if f := families["incognito_runs_total"]; f.kind != "counter" || len(f.samples) != 1 || f.samples[0].value != 5 {
+		t.Errorf("counter func family = %+v, want one counter sample of 5", f)
+	}
 	hist := families["incognito_freqset_groups"]
 	if hist.kind != "histogram" {
 		t.Fatal("missing histogram family")
@@ -120,7 +124,9 @@ var (
 // parsePrometheus validates text-format 0.0.4 output line by line — every
 // sample must follow a TYPE declaration for its family, carry well-formed
 // labels, and parse as a float — and returns the families. It is the
-// in-repo stand-in for a real Prometheus scraper's parser.
+// in-repo stand-in for a real Prometheus scraper's parser. It also lints
+// the naming convention: a family whose name ends in _total must be a
+// counter.
 func parsePrometheus(t *testing.T, text string) map[string]*promFamily {
 	t.Helper()
 	families := make(map[string]*promFamily)
@@ -193,6 +199,9 @@ func parsePrometheus(t *testing.T, text string) map[string]*promFamily {
 		}
 		if len(f.samples) == 0 {
 			t.Errorf("family %s has no samples", name)
+		}
+		if strings.HasSuffix(name, "_total") && f.kind != "counter" {
+			t.Errorf("family %s ends in _total but is a %s", name, f.kind)
 		}
 	}
 	return families

@@ -188,6 +188,17 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...str
 	r.register(name, help, kindGauge, nil, fn, labels)
 }
 
+// CounterFunc registers a counter whose value is computed by fn at export
+// time: GaugeFunc for monotone values that already live elsewhere as
+// atomics, so scrapers see them typed as counters. fn must be safe for
+// concurrent use and never decrease.
+func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...string) {
+	if r == nil {
+		return
+	}
+	r.register(name, help, kindCounter, nil, fn, labels)
+}
+
 // Histogram registers (or finds) a fixed-bucket histogram. buckets are
 // upper bounds in ascending order; an implicit +Inf bucket is always
 // appended.

@@ -17,7 +17,6 @@ var allAlgorithms = []incognito.Algorithm{
 	incognito.BasicIncognito,
 	incognito.SuperRootsIncognito,
 	incognito.CubeIncognito,
-	incognito.MaterializedIncognito,
 	incognito.BottomUp,
 	incognito.BottomUpRollup,
 	incognito.BinarySearch,
