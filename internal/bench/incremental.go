@@ -8,7 +8,7 @@ package bench
 // acceptance contract is counter-based so it holds on any box: Solutions
 // and Stats bit-identical to the cold run in every cell, while rows
 // re-scanned and nodes revalidated stay small fractions of the cold run's
-// work. Timings are informational.
+// work. Timings are informational: each is the best of timedRuns runs.
 
 import (
 	"context"
@@ -136,12 +136,16 @@ func Incremental(ctx context.Context, obs Obs, d *dataset.Dataset, qiSize int, k
 	var cells []IncrementalCell
 	for _, sparse := range []bool{false, true} {
 		for _, par := range []int{1, 2} {
-			cold, coldDur, err := runBasic(ctx, obs, edited, cols, editedHs, k, par, sparse, nil)
+			cold, coldDur, err := bestOf(timedRuns, func() (*core.Result, time.Duration, error) {
+				return runBasic(ctx, obs, edited, cols, editedHs, k, par, sparse, nil)
+			})
 			if err != nil {
 				return nil, err
 			}
-			run := &core.DeltaRun{State: state, Added: added, Removed: removed}
-			dres, deltaDur, err := runBasic(ctx, obs, edited, cols, editedHs, k, par, sparse, run)
+			dres, deltaDur, err := bestOf(timedRuns, func() (*core.Result, time.Duration, error) {
+				run := &core.DeltaRun{State: state, Added: added, Removed: removed}
+				return runBasic(ctx, obs, edited, cols, editedHs, k, par, sparse, run)
+			})
 			if err != nil {
 				return nil, err
 			}
@@ -300,6 +304,29 @@ func captureState(ctx context.Context, t *relation.Table, cols []int, hs []*hier
 		Base:    core.CaptureBase(&in),
 		Records: capture.Records(),
 	}, nil
+}
+
+// timedRuns is how many times each cell's cold and delta runs are
+// repeated. A single run is noise at Lands End sizes: one cold cell
+// measured 166–342 ms across five reports on one 2-vCPU host.
+const timedRuns = 3
+
+// bestOf calls run n times and returns the last result with the fastest
+// time. Results are deterministic, so the last one stands for all.
+func bestOf(n int, run func() (*core.Result, time.Duration, error)) (*core.Result, time.Duration, error) {
+	var res *core.Result
+	var best time.Duration
+	for i := 0; i < n; i++ {
+		r, d, err := run()
+		if err != nil {
+			return nil, 0, err
+		}
+		if i == 0 || d < best {
+			best = d
+		}
+		res = r
+	}
+	return res, best, nil
 }
 
 // runBasic runs the Basic variant on one table, optionally as a delta run.

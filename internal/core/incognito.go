@@ -10,6 +10,7 @@ import (
 	"incognito/internal/lattice"
 	"incognito/internal/relation"
 	"incognito/internal/resilience"
+	"incognito/internal/trace"
 )
 
 // Variant selects which member of the Incognito family to run (§3.1, §3.3).
@@ -190,8 +191,9 @@ func run(in *Input, v Variant, cube *CubeIndex) (*Result, error) {
 // runSearch is the outer loop of Fig. 8: iterate over subset sizes, search
 // each candidate graph breadth-first, then generate the next graph from
 // the survivors. Each iteration records a trace span (candidate count plus
-// per-family search counters) and checks the input's context, so runs
-// are observable and cancellable at every subset size.
+// per-family search counters), each candidate generation a generate span,
+// and the input's context is checked, so runs are observable and
+// cancellable at every subset size.
 //
 // With Input.Check set, a snapshot is saved after every completed iteration
 // (and at family/level boundaries inside each one, see searchGraphFamilies)
@@ -236,7 +238,9 @@ func runSearch(in *Input, maker rootFreqMaker, label string) (*Result, error) {
 			if err != nil {
 				return nil, fmt.Errorf("core: replaying iteration %d: %w", it+1, err)
 			}
+			gen := sp.Start("generate")
 			graph = lattice.Generate(graph, surv, ids)
+			gen.End()
 		}
 		startIter = snap.Iter + 1
 		stats = statsFromMap(snap.Stats)
@@ -317,7 +321,9 @@ func runSearch(in *Input, maker rootFreqMaker, label string) (*Result, error) {
 		if cerr := in.Err(); cerr != nil {
 			return nil, cancelled(cerr)
 		}
+		gen := sp.Start("generate")
 		graph = lattice.Generate(graph, surv, ids)
+		gen.End()
 	}
 	SortSolutions(res.Solutions)
 	res.Stats = stats
@@ -392,8 +398,11 @@ func (q *nodeQueue) Pop() interface{} {
 // level boundary. proven, when non-nil, collects the nodes known
 // k-anonymous (checked-passed or marked), the best-so-far set a
 // budget-aborted run returns. complete is false when the search bailed
-// early (cancellation or the budget's hard stop).
-func searchFamily(in *Input, g *lattice.Graph, nodes []*lattice.Node, maker rootFreqMaker, stats *Stats, ck *iterCkpt, fr *resilience.Frontier, proven map[int]bool) (surv map[int]bool, complete bool, err error) {
+// early (cancellation or the budget's hard stop). sp is the family's span;
+// it receives the nodes_implied counter.
+func searchFamily(in *Input, g *lattice.Graph, nodes []*lattice.Node, maker rootFreqMaker, stats *Stats, sp *trace.Span, ck *iterCkpt, fr *resilience.Frontier, proven map[int]bool) (surv map[int]bool, complete bool, err error) {
+	var nImplied int64
+	defer func() { sp.Add(CounterNodesImplied, nImplied) }()
 	surv = make(map[int]bool, len(nodes))
 	for _, n := range nodes {
 		surv[n.ID] = true
@@ -518,8 +527,11 @@ func searchFamily(in *Input, g *lattice.Graph, nodes []*lattice.Node, maker root
 		// A delta run tries the record screen first: an exact verdict skips
 		// materializing the frequency set but replays the very counters the
 		// cold run would have spent at this node, so Stats stay identical.
+		// A node the subset property already proves k-anonymous does the
+		// same: the maker or the rollup branch counts its set, builds none.
 		var f *relation.FreqSet
 		var pass, screened bool
+		implied := in.impliedPass(node)
 		if in.Delta != nil {
 			start := time.Now()
 			pass, screened = in.Delta.st.screen(in, node)
@@ -531,7 +543,10 @@ func searchFamily(in *Input, g *lattice.Graph, nodes []*lattice.Node, maker root
 			} else {
 				stats.TableScans++ // delta runs are Basic-only: roots scan
 			}
-		} else if pid, ok := parentOf[node.ID]; ok {
+		} else if pid, ok := parentOf[node.ID]; ok && implied {
+			stats.Rollups++
+			in.Progress.AddRollups(1)
+		} else if ok {
 			parent := g.Node(pid)
 			pf := freqs[pid]
 			if pf == nil && in.Delta != nil {
@@ -544,10 +559,13 @@ func searchFamily(in *Input, g *lattice.Graph, nodes []*lattice.Node, maker root
 			f = in.RollupTo(pf, node.Dims, parent.Levels, node.Levels)
 			stats.Rollups++
 		} else {
-			f = rootFreq(node)
+			f = rootFreq(node) // nil for an implied node
 		}
 		stats.NodesChecked++
-		if !screened {
+		if implied {
+			pass = true
+			nImplied++
+		} else if !screened {
 			pass = in.CheckFreq(f)
 			if in.Delta != nil {
 				in.Delta.st.noteRevalidated(node)
@@ -600,6 +618,10 @@ func variantRootFreqMaker(in *Input, v Variant, cube *CubeIndex) rootFreqMaker {
 					// set from the patched base state (rollup property).
 					return in.Delta.st.rootFromF0(in, n)
 				}
+				if in.impliedPass(n) {
+					in.Progress.AddTableScans(1)
+					return nil
+				}
 				return in.ScanFreq(n.Dims, n.Levels)
 			}
 		}
@@ -612,29 +634,71 @@ func variantRootFreqMaker(in *Input, v Variant, cube *CubeIndex) rootFreqMaker {
 					return zero
 				}
 				stats.Rollups++
+				if in.impliedPass(n) {
+					in.Progress.AddRollups(1)
+					return nil
+				}
 				return in.RollupTo(zero, n.Dims, zeros, n.Levels)
 			}
 		}
 	case SuperRoots:
 		// Pre-compute one scan at the meet of the family's roots, then
-		// derive every root's frequency set by rollup (§3.3.1).
+		// derive every root's frequency set by rollup (§3.3.1). Roots the
+		// subset property already proves get no set, and a family of only
+		// such roots no scan; both are still counted.
 		return func(roots []*lattice.Node, stats *Stats) func(*lattice.Node) *relation.FreqSet {
 			dims, meet := lattice.Meet(roots)
 			stats.TableScans++
-			base := in.ScanFreq(dims, meet)
+			var base *relation.FreqSet
 			rootSets := make(map[int]*relation.FreqSet, len(roots))
 			for _, r := range roots {
-				if sameLevels(meet, r.Levels) {
+				same := sameLevels(meet, r.Levels)
+				if !same {
+					stats.Rollups++
+				}
+				if in.impliedPass(r) {
+					if !same {
+						in.Progress.AddRollups(1)
+					}
+					continue
+				}
+				if base == nil {
+					base = in.ScanFreq(dims, meet)
+				}
+				if same {
 					rootSets[r.ID] = base
 					continue
 				}
-				stats.Rollups++
 				rootSets[r.ID] = in.RollupTo(base, dims, meet, r.Levels)
+			}
+			if base == nil {
+				in.Progress.AddTableScans(1)
 			}
 			return func(n *lattice.Node) *relation.FreqSet { return rootSets[n.ID] }
 		}
 	}
 	panic("core: unknown variant")
+}
+
+// impliedPass reports whether node n is k-anonymous before its frequency
+// set is built: it has at least two columns and one of them sits at a
+// hierarchy level that holds a single value. Such a column splits no group,
+// so n's frequency set equals that of its subset without the column, and
+// the prune phase of candidate generation admitted n only because that
+// subset survived the previous iteration (the subset property). The
+// suppression test reads the group sizes alone, so it passes too. Runs
+// that capture a RunState (retain-state and delta runs) need every checked
+// node's frequency set for its record, so they never take this path.
+func (in *Input) impliedPass(n *lattice.Node) bool {
+	if in.Capture != nil || in.Delta != nil || len(n.Dims) < 2 {
+		return false
+	}
+	for i, d := range n.Dims {
+		if in.QI[d].H.LevelSize(n.Levels[i]) == 1 {
+			return true
+		}
+	}
+	return false
 }
 
 func sameLevels(a, b []int) bool {

@@ -114,15 +114,22 @@ func TestPatientsAgainstOracle(t *testing.T) {
 // randomInstance builds a random table over nAttrs categorical attributes
 // with random taxonomy-style hierarchies of random heights.
 func randomInstance(rng *rand.Rand, nAttrs int, k int64, maxSuppress int64) Input {
+	domains := make([]int, nAttrs)
+	for i := range domains {
+		domains[i] = 2 + rng.Intn(5)
+	}
+	return randomInstanceOver(rng, domains, k, maxSuppress)
+}
+
+// randomInstanceOver is randomInstance over caller-chosen base domain
+// sizes; a domain of 1 makes a constant column.
+func randomInstanceOver(rng *rand.Rand, domains []int, k int64, maxSuppress int64) Input {
+	nAttrs := len(domains)
 	names := make([]string, nAttrs)
 	for i := range names {
 		names[i] = string(rune('A' + i))
 	}
 	t := relation.MustNewTable(names...)
-	domains := make([]int, nAttrs)
-	for i := range domains {
-		domains[i] = 2 + rng.Intn(5)
-	}
 	// Pre-register domains so hierarchies cover all values even if some
 	// never occur in rows.
 	for i, d := range domains {

@@ -175,7 +175,7 @@ func TestTraceCountersSumToStats(t *testing.T) {
 
 // TestTraceCoversEveryIteration asserts the span tree's shape: one search
 // span per run with an iteration child per subset size, each carrying the
-// subset_size attribute.
+// subset_size attribute, and a generate child between each two.
 func TestTraceCoversEveryIteration(t *testing.T) {
 	in := determinismInputs(t)[1]
 	in.Trace = trace.New()
@@ -191,6 +191,9 @@ func TestTraceCoversEveryIteration(t *testing.T) {
 		if got := it.Attrs["subset_size"]; fmt.Sprint(got) != fmt.Sprint(i+1) {
 			t.Errorf("iteration %d has subset_size=%v, want %d", i, got, i+1)
 		}
+	}
+	if gens := doc.Find("generate"); len(gens) != len(in.QI)-1 {
+		t.Fatalf("trace has %d generate spans, want %d (one per candidate generation)", len(gens), len(in.QI)-1)
 	}
 }
 

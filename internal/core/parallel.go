@@ -214,7 +214,7 @@ func searchGraphFamilies(in *Input, g *lattice.Graph, maker rootFreqMaker, stats
 			famProven[i] = make(map[int]bool)
 		}
 		st := &famStats[i]
-		results[i], completes[i], errs[i] = searchFamily(in, g, nodes, maker, st, levelCk, fr, famProven[i])
+		results[i], completes[i], errs[i] = searchFamily(in, g, nodes, maker, st, sp, levelCk, fr, famProven[i])
 		st.recordOn(sp)
 		sp.End()
 		if completes[i] && errs[i] == nil && in.Err() == nil {

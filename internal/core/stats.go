@@ -8,8 +8,12 @@ import "incognito/internal/trace"
 // versus how often a frequency set was derived by rollup, and how much
 // candidate generation the a priori pruning left behind.
 type Stats struct {
-	// NodesChecked counts nodes whose frequency set was computed and whose
-	// k-anonymity was tested explicitly (roots and failure frontiers).
+	// NodesChecked counts nodes whose k-anonymity was tested explicitly
+	// (roots and failure frontiers). A checked node need not have had its
+	// frequency set built: a delta run's record screen and the subset
+	// property (a column at a single-valued level) decide some checks
+	// without one, and replay the TableScans or Rollups a build would
+	// have counted.
 	NodesChecked int
 	// NodesMarked counts nodes skipped because the generalization property
 	// had already marked them k-anonymous.
@@ -58,6 +62,12 @@ const (
 	CounterTableScans   = "table_scans"
 	CounterRollups      = "rollups"
 	CounterCubeFreqSets = "cube_freq_sets"
+	// CounterNodesImplied counts, on each family span, the checked nodes
+	// the subset property proved k-anonymous without building their
+	// frequency sets (see impliedPass). It is not a Stats field: those
+	// nodes are also counted as checked, with the scan or rollup a cold
+	// check would have spent.
+	CounterNodesImplied = "nodes_implied"
 )
 
 // RecordStatsDelta records after − before on sp, for algorithm drivers in

@@ -95,9 +95,10 @@ func (m *RunMetrics) ObserveRollup(fromGroups, toGroups int) {
 var counterHelp = map[string]string{
 	"nodes_checked":   "Generalization nodes whose k-anonymity was tested explicitly.",
 	"nodes_marked":    "Nodes skipped via the generalization property.",
+	"nodes_implied":   "Checked nodes the subset property passed without building a frequency set.",
 	"candidates":      "Candidate nodes across all iterations.",
-	"table_scans":     "Frequency sets built by scanning the base table.",
-	"rollups":         "Frequency sets derived from other frequency sets.",
+	"table_scans":     "Base-table scans counted, including scans a check made unnecessary.",
+	"rollups":         "Rollups counted, including rollups a check made unnecessary.",
 	"cube_freq_sets":  "Zero-generalization frequency sets materialized by the cube.",
 	"delta_screen_ns": "Nanoseconds delta runs spent deciding nodes from saved records.",
 	"delta_force_ns":  "Nanoseconds delta runs spent rebuilding the frequency sets of screened-failed parents.",

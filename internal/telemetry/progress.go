@@ -132,8 +132,8 @@ func RegisterProgress(r *Registry, p *Progress) {
 		func() float64 { return float64(p.Snapshot().NodesTotal) })
 	r.GaugeFunc("incognito_progress_tuples_scanned", "Base-table tuples read by full scans so far.",
 		func() float64 { return float64(p.Snapshot().TuplesScanned) })
-	r.GaugeFunc("incognito_progress_table_scans", "Full base-table scans so far.",
+	r.GaugeFunc("incognito_progress_table_scans", "Base-table scans counted so far, including scans a check made unnecessary.",
 		func() float64 { return float64(p.Snapshot().TableScans) })
-	r.GaugeFunc("incognito_progress_rollups", "Frequency sets derived by rollup so far.",
+	r.GaugeFunc("incognito_progress_rollups", "Rollups counted so far, including rollups a check made unnecessary.",
 		func() float64 { return float64(p.Snapshot().Rollups) })
 }
